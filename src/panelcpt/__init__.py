@@ -4,7 +4,6 @@ data generator, and a Monte Carlo harness."""
 
 from .blocklen import (
     BlockLengthSelection,
-    LagCovMatrices,
     adaptive_block_length,
     autocovariances,
     lag_cov,
@@ -67,7 +66,7 @@ __all__ = [
     "Panel", "SeriesMeans", "load_csv", "write_csv", "demean_rows",
     "CusumProcess", "StatisticValue", "LrvEstimates", "cusum", "j_statistic",
     "h_statistic", "bartlett_lrv", "JStatistic", "HStatistic",
-    "BlockLengthSelection", "LagCovMatrices", "lag_cov", "adaptive_block_length",
+    "BlockLengthSelection", "lag_cov", "adaptive_block_length",
     "per_series_block_lengths", "autocovariances",
     "BootstrapScheme", "BootstrapDistribution", "RngSpec", "resample_indices",
     "resample_panel", "bootstrap_distribution", "p_value", "empirical_quantile",

@@ -1,19 +1,24 @@
 """Data-adaptive block-length selection for the block bootstrap.
 
 The selector treats block-length choice like plug-in bandwidth selection for
-a kernel long-run-variance estimator: pilot lag-covariance matrices of the
-cross-section are combined into a level term (CP0) and a bias-curvature term
-(CP1), whose ratio yields the bandwidth after a fifth-root rescaling.
+a kernel long-run-variance estimator (Andrews 1991): Bartlett sums of pilot
+autocovariances at bandwidth l0 = ceil(sqrt(T)) give a level term and a
+bias-curvature term, whose ratio yields the bandwidth after a fifth-root
+rescaling.
 
-Index convention: ``V_k`` holds the lag-(k-1) autocovariance matrix of the
-row-demeaned panel, so ``V_1`` is the contemporaneous covariance. CP0 is then
-the Bartlett long-run covariance matrix at the pilot bandwidth.
+The panel-wide rule is stated through the N x N Bartlett matrices CP0 and
+CP1 of the row-demeaned cross-section, but it reads only sum(CP0), sum(CP1)
+and diag(CP0). The two sums are the Bartlett level and curvature of the
+aggregate series sum_i x_it, and diag(CP0) holds the Bartlett level of each
+series, so the selection runs on autocovariances in O(N T l0). CP0 and CP1
+themselves are built from `lag_cov` only when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,33 +26,11 @@ from .panel import Panel
 
 __all__ = [
     "BlockLengthSelection",
-    "LagCovMatrices",
     "autocovariances",
     "lag_cov",
     "adaptive_block_length",
     "per_series_block_lengths",
 ]
-
-
-@dataclass(frozen=True)
-class LagCovMatrices:
-    """Pilot lag-covariance matrices V_1..V_L0 (entry k has lag k-1)."""
-
-    v: np.ndarray = field(repr=False)  # shape (l0, N, N)
-
-    def __post_init__(self):
-        arr = np.array(self.v, dtype=np.float64, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "v", arr)
-
-    def __len__(self) -> int:
-        return self.v.shape[0]
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        """1-based access: matrices[1] is V_1 (lag 0)."""
-        if not 1 <= k <= len(self):
-            raise IndexError(f"V_k index {k} outside 1..{len(self)}")
-        return self.v[k - 1]
 
 
 @dataclass(frozen=True)
@@ -58,8 +41,6 @@ class BlockLengthSelection:
     ----------
     l0 : int
         Pilot bandwidth, ceil(sqrt(T)).
-    cp0, cp1 : ndarray
-        N x N level and curvature matrices.
     raw : float
         The value inside the ceiling, before integer rounding and clamping.
     l_adpt : int
@@ -67,26 +48,34 @@ class BlockLengthSelection:
     fallback : bool
         True when the denominator was non-positive and the selector fell
         back to ceil(T**(1/3)).
+    panel : Panel
+        The panel the length was selected from.
+    cp0, cp1 : ndarray
+        N x N level and curvature matrices, read-only and built on first
+        access (O(N^2 T l0) time, l0 N x N matrices of memory).
     """
 
     l0: int
-    cp0: np.ndarray = field(repr=False)
-    cp1: np.ndarray = field(repr=False)
     raw: float
     l_adpt: int
-    fallback: bool = False
+    fallback: bool
+    panel: Panel = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        for name in ("cp0", "cp1"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+    @cached_property
+    def _cp(self) -> tuple[np.ndarray, np.ndarray]:
+        mats = np.moveaxis(lag_cov(self.panel, self.l0), 0, -1)
+        cps = bartlett_sums(mats, self.l0)
+        for arr in cps:
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        return cps
 
+    @property
+    def cp0(self) -> np.ndarray:
+        return self._cp[0]
 
-def bartlett_weight(k, length):
-    """Triangular kernel weight (1 - |k/length|) for |k/length| <= 1, else 0."""
-    ratio = np.abs(np.asarray(k, dtype=np.float64) / length)
-    return np.where(ratio <= 1.0, 1.0 - ratio, 0.0)
+    @property
+    def cp1(self) -> np.ndarray:
+        return self._cp[1]
 
 
 def autocovariances(demeaned: np.ndarray, max_lag: int) -> np.ndarray:
@@ -123,100 +112,110 @@ def pilot_bandwidth(n_time: int) -> int:
     return int(math.ceil(math.sqrt(n_time)))
 
 
-def lag_cov(panel: Panel, l0: int) -> LagCovMatrices:
+def bartlett_sums(gamma: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Bartlett level and curvature sums of autocovariances.
+
+    With w_k = 1 - k/L for k < L and 0 otherwise,
+
+        level     = gamma_0 + 2 * sum_{k>=1} w_k gamma_k
+        curvature = 2 * sum_{k>=1} k w_k gamma_k
+
+    ``gamma`` has shape (..., K) with lags 0..K-1; ``lengths`` (int or array
+    broadcasting against gamma's leading axes) must not exceed K.
+    """
+    k = np.arange(1, gamma.shape[-1])
+    lengths = np.asarray(lengths)[..., None]
+    w = np.where(k < lengths, 1.0 - k / lengths, 0.0)
+    tail = gamma[..., 1:]
+    level = gamma[..., 0] + 2.0 * np.sum(w * tail, axis=-1)
+    curvature = 2.0 * np.sum(k * w * tail, axis=-1)
+    return level, curvature
+
+
+def length_formula(level, curvature, diag_sq, n_time: int):
+    """The plug-in block length from Bartlett sums, elementwise.
+
+        raw = (3 T |curvature| / (level + diag_sq)) ** (1/5)
+
+    and L = ceil(raw) clamped to [1, floor(T/2)]. The absolute value keeps
+    the fifth root defined when negatively correlated data make the
+    curvature negative. Where the denominator is not positive, raw is NaN
+    and L falls back to ceil(T**(1/3)).
+
+    Returns (raw, L, fallback) as arrays of the broadcast input shape.
+    """
+    den = level + diag_sq
+    ok = den > 0.0
+    num = 3.0 * n_time * np.abs(curvature)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(ok, (num / np.where(ok, den, 1.0)) ** 0.2, np.nan)
+    half = max(1, n_time // 2)
+    lengths = np.clip(np.ceil(np.where(ok, raw, 1.0)), 1, half).astype(np.int64)
+    fallback = max(1, min(int(math.ceil(n_time ** (1.0 / 3.0))), half))
+    return raw, np.where(ok, lengths, fallback), ~ok
+
+
+def lag_cov(panel: Panel, l0: int) -> np.ndarray:
     """Pilot lag-covariance matrices of the row-demeaned panel.
 
-    V_k = (1/T) * sum_{t=1..T-(k-1)} x_t (x_{t+k-1})' for k = 1..l0, where
-    x_t is the cross-section vector at time t. V_1 is the lag-0 covariance.
+    Returns an (l0, N, N) array whose entry k is
+    (1/T) * sum_{t=1..T-k} x_t x_{t+k}', with x_t the cross-section vector
+    at time t; entry 0 is the contemporaneous covariance.
     """
     if not 1 <= l0 <= panel.n_time:
         raise ValueError(f"l0 must be in [1, T], got {l0}")
     d = panel.values - panel.values.mean(axis=1, keepdims=True)
     t = panel.n_time
     v = np.empty((l0, panel.n_series, panel.n_series), dtype=np.float64)
-    for k in range(1, l0 + 1):
-        lag = k - 1
-        if lag == 0:
-            v[k - 1] = d @ d.T / t
-        else:
-            v[k - 1] = d[:, :-lag] @ d[:, lag:].T / t
-    return LagCovMatrices(v)
-
-
-def _fallback_length(n_time: int) -> int:
-    return max(1, min(int(math.ceil(n_time ** (1.0 / 3.0))), n_time // 2))
+    v[0] = d @ d.T / t
+    for k in range(1, l0):
+        v[k] = d[:, :-k] @ d[:, k:].T / t
+    return v
 
 
 def adaptive_block_length(panel: Panel, l0: int | None = None) -> BlockLengthSelection:
     """Select a panel-wide bootstrap block length from the data.
 
-    Computes CP0 = V_1 + 2 * sum_k w(k, l0) V_{k+1} and
-    CP1 = 2 * sum_k k * w(k, l0) V_{k+1} with the Bartlett kernel w, then
+    With the Bartlett matrices CP0 = V_0 + 2 * sum_k w(k, l0) V_k and
+    CP1 = 2 * sum_k k * w(k, l0) V_k of the lag-covariance matrices V_k,
 
         raw = (3 T |sum CP1| / (sum CP0 + sum_j CP0[j,j]**2)) ** (1/5)
 
-    and returns l_adpt = ceil(raw) clamped to [1, floor(T/2)]. The absolute
-    value keeps the fifth root defined when negatively correlated data make
-    the CP1 mass negative. A non-positive denominator triggers a diagnostic
-    fallback to ceil(T**(1/3)) instead of an error.
+    and l_adpt = ceil(raw) clamped to [1, floor(T/2)] (see
+    `length_formula`). sum(CP0) and sum(CP1) are computed as the Bartlett
+    sums of the aggregate series, and CP0[j,j] as that of series j, so no
+    N x N matrix is formed.
 
     Parameters
     ----------
     panel : Panel
         Requires T >= 4.
     l0 : int, optional
-        Pilot bandwidth override; defaults to ceil(sqrt(T)).
+        Pilot bandwidth override in [1, T]; defaults to ceil(sqrt(T)).
     """
     t = panel.n_time
     if t < 4:
         raise ValueError(f"adaptive selection requires T >= 4, got T={t}")
     if l0 is None:
         l0 = pilot_bandwidth(t)
-    mats = lag_cov(panel, l0)
-
-    cp0 = mats[1].copy()
-    cp1 = np.zeros_like(cp0)
-    for k in range(1, l0):
-        w = 1.0 - k / l0
-        cp0 += 2.0 * w * mats[k + 1]
-        cp1 += 2.0 * k * w * mats[k + 1]
-
-    num = 3.0 * t * abs(float(cp1.sum()))
-    den = float(cp0.sum()) + float((np.diag(cp0) ** 2).sum())
-    if den <= 0.0:
-        return BlockLengthSelection(
-            l0=l0, cp0=cp0, cp1=cp1, raw=float("nan"),
-            l_adpt=_fallback_length(t), fallback=True,
-        )
-    raw = (num / den) ** 0.2
-    l_adpt = max(1, min(int(math.ceil(raw)), t // 2))
-    return BlockLengthSelection(l0=l0, cp0=cp0, cp1=cp1, raw=raw, l_adpt=l_adpt)
+    d = panel.values - panel.values.mean(axis=1, keepdims=True)
+    level, curvature = bartlett_sums(autocovariances(d.sum(axis=0), l0 - 1), l0)
+    diag, _ = bartlett_sums(autocovariances(d, l0 - 1), l0)
+    raw, length, fallback = length_formula(level, curvature, np.sum(diag**2), t)
+    return BlockLengthSelection(
+        l0=l0, raw=float(raw), l_adpt=int(length), fallback=bool(fallback), panel=panel,
+    )
 
 
 def select_lengths_from_autocov(gamma: np.ndarray, n_time: int) -> np.ndarray:
     """Vectorized single-series selection from autocovariances.
 
-    Applies the adaptive procedure with N = 1 to each row of ``gamma``
-    (shape (..., l0), lags 0..l0-1). Used for per-series bandwidth choice in
-    the long-run variance estimator.
+    Applies the adaptive procedure with N = 1 (diag_sq = level**2) to each
+    row of ``gamma`` (shape (..., l0), lags 0..l0-1). Used for per-series
+    bandwidth choice in the long-run variance estimator.
     """
-    l0 = gamma.shape[-1]
-    k = np.arange(1, l0)
-    w = 1.0 - k / l0
-    if l0 > 1:
-        tail = gamma[..., 1:]
-        cp0 = gamma[..., 0] + 2.0 * np.sum(w * tail, axis=-1)
-        cp1 = 2.0 * np.sum(k * w * tail, axis=-1)
-    else:
-        cp0 = gamma[..., 0].copy()
-        cp1 = np.zeros_like(cp0)
-    den = cp0 + cp0**2
-    num = 3.0 * n_time * np.abs(cp1)
-    half = max(1, n_time // 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(den > 0.0, (num / np.where(den > 0.0, den, 1.0)) ** 0.2, 0.0)
-    lengths = np.clip(np.ceil(raw).astype(np.int64), 1, half)
-    return np.where(den > 0.0, lengths, _fallback_length(n_time)).astype(np.int64)
+    level, curvature = bartlett_sums(gamma, gamma.shape[-1])
+    return length_formula(level, curvature, level**2, n_time)[1]
 
 
 def per_series_block_lengths(panel: Panel) -> np.ndarray:

@@ -63,6 +63,13 @@ def _write_out(text: str, out: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _workers(token: str) -> int:
+    value = int(token)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _block_rule(token: str):
     if token == "adaptive":
         return "adaptive"
@@ -256,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--b", type=int, default=500, help="bootstrap replicates")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--workers", type=int, default=1)
+    p_test.add_argument("--workers", type=_workers, default=1)
     p_test.add_argument("--out", default="-", help="output path or - for stdout")
     p_test.set_defaults(func=_cmd_test)
 
@@ -279,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--s", type=int, default=None, help="override replications")
     p_bench.add_argument("--b", type=int, default=None, help="override bootstrap size")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_workers, default=1)
     p_bench.add_argument("--out", default="-", help="output path or - for stdout")
     p_bench.add_argument("--format", choices=("auto", "csv", "json"), default="auto")
     p_bench.add_argument("--timings", action="store_true",

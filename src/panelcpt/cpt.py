@@ -145,6 +145,7 @@ def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
         raise ValueError("TestConfig.seed must be set to run a test")
     length, selection = _resolve_block_length(panel, cfg)
     stat = _statistic_object(cfg)
+    # demean as the bootstrap does, so its L = T replicate equals this value bit for bit
     demeaned, _ = demean_rows(panel)
     observed = stat(demeaned)
     dist = bootstrap_distribution(

@@ -109,7 +109,7 @@ def rejection_frequency(scenario: Scenario, seed_base: int,
     if workers <= 1:
         outcomes = [_replication_worker(task) for task in tasks]
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=min(workers, scenario.s)) as pool:
             outcomes = pool.map(_replication_worker, tasks, chunksize=8)
     outcomes.sort(key=lambda item: item[0])
 

@@ -119,19 +119,9 @@ def bartlett_lrv(panel: Panel, bandwidth="auto") -> LrvEstimates:
     DegenerateSeriesError
         If any sigma2_i is not strictly positive (e.g. a constant series).
     """
-    t = panel.n_time
-    d = _demean(panel.values)
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise ValueError(f"bandwidth must be 'auto' or integer(s), got {bandwidth!r}")
-        lengths = blocklen.per_series_block_lengths(panel)
-    else:
-        lengths = np.broadcast_to(
-            np.asarray(bandwidth, dtype=np.int64), (panel.n_series,)
-        ).copy()
-        if np.any(lengths < 1) or np.any(lengths >= t):
-            raise ValueError(f"explicit bandwidth must satisfy 1 <= L < T={t}")
-    sigma2 = _bartlett_from_demeaned(d, lengths)
+    if isinstance(bandwidth, str) and panel.n_time < 4:
+        raise ValueError(f"adaptive selection requires T >= 4, got T={panel.n_time}")
+    sigma2, lengths = _lrv(_demean(panel.values), bandwidth)
     bad = np.flatnonzero(sigma2 <= 0.0)
     if bad.size:
         i = int(bad[0])
@@ -144,17 +134,28 @@ def bartlett_lrv(panel: Panel, bandwidth="auto") -> LrvEstimates:
     return LrvEstimates(sigma2=sigma2, bandwidth_used=lengths)
 
 
-def _bartlett_from_demeaned(d: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Bartlett LRV for stacked demeaned series (..., T) with lengths (...,)."""
+def _lrv(d: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
+    """Bartlett LRV and bandwidths for stacked demeaned series d (..., T).
+
+    "auto" bandwidths come from pilot autocovariances, which the Bartlett
+    sum reuses; lags are computed again only past the pilot bandwidth.
+    """
     t = d.shape[-1]
-    max_lag = int(lengths.max()) - 1
-    gamma = blocklen.autocovariances(d, max_lag)
-    if max_lag == 0:
-        return gamma[..., 0]
-    k = np.arange(1, max_lag + 1)
-    w = 1.0 - k / lengths[..., None]
-    w = np.where(k < lengths[..., None], w, 0.0)
-    return gamma[..., 0] + 2.0 * np.sum(w * gamma[..., 1:], axis=-1)
+    if isinstance(bandwidth, str):
+        if bandwidth != "auto":
+            raise ValueError(f"bandwidth must be 'auto' or integer(s), got {bandwidth!r}")
+        gamma = blocklen.autocovariances(d, blocklen.pilot_bandwidth(t) - 1)
+        lengths = blocklen.select_lengths_from_autocov(gamma, t)
+    else:
+        lengths = np.broadcast_to(np.asarray(bandwidth, dtype=np.int64), d.shape[:-1]).copy()
+        if np.any(lengths < 1) or np.any(lengths >= t):
+            raise ValueError(f"explicit bandwidth must satisfy 1 <= L < T={t}")
+        gamma = None
+    max_len = int(lengths.max())
+    if gamma is None or max_len > gamma.shape[-1]:
+        gamma = blocklen.autocovariances(d, max_len - 1)
+    sigma2, _ = blocklen.bartlett_sums(gamma[..., :max_len], lengths)
+    return sigma2, lengths
 
 
 def h_statistic(panel: Panel, lrv: LrvEstimates) -> StatisticValue:
@@ -167,16 +168,15 @@ def h_statistic(panel: Panel, lrv: LrvEstimates) -> StatisticValue:
         raise ValueError("lrv.sigma2 must have one entry per series")
     if np.any(sigma2 <= 0.0):
         raise DegenerateSeriesError(int(np.flatnonzero(sigma2 <= 0.0)[0]))
-    obj = _h_objective(panel.values, sigma2)
+    obj = _h_objective(_demean(panel.values), sigma2)
     arg = int(np.argmax(obj))
     return StatisticValue(value=float(obj[arg]), argmax_t=arg + 1)
 
 
-def _h_objective(values: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """H objective over t for stacked panels (..., N, T); sigma2 (..., N)."""
-    t = values.shape[-1]
-    n = values.shape[-2]
-    d = _demean(values)
+def _h_objective(d: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """H objective over t for stacked demeaned panels (..., N, T); sigma2 (..., N)."""
+    t = d.shape[-1]
+    n = d.shape[-2]
     s = np.cumsum(d, axis=-1)[..., : t - 1]
     scaled = np.sum(s * s / sigma2[..., :, None], axis=-2) / t
     tt = np.arange(1, t, dtype=np.float64)
@@ -223,17 +223,9 @@ class HStatistic:
         return h_statistic(panel, lrv)
 
     def batch(self, values: np.ndarray) -> np.ndarray:
-        t = values.shape[-1]
         d = _demean(values)
-        if isinstance(self.bandwidth, str):
-            gamma = blocklen.autocovariances(d, blocklen.pilot_bandwidth(t) - 1)
-            lengths = blocklen.select_lengths_from_autocov(gamma, t)
-        else:
-            lengths = np.full(values.shape[:-1], int(self.bandwidth), dtype=np.int64)
-            if not 1 <= int(self.bandwidth) < t:
-                raise ValueError(f"explicit bandwidth must satisfy 1 <= L < T={t}")
-        sigma2 = _bartlett_from_demeaned(d, lengths)
+        sigma2, _ = _lrv(d, self.bandwidth)
         if np.any(sigma2 <= 0.0):
             where = np.argwhere(sigma2 <= 0.0)[0]
             raise DegenerateSeriesError(int(where[-1]))
-        return np.max(_h_objective(values, sigma2), axis=-1)
+        return np.max(_h_objective(d, sigma2), axis=-1)

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from panelcpt import (
+    DgpConfig,
     Panel,
     adaptive_block_length,
     lag_cov,
     per_series_block_lengths,
+    simulate_panel,
 )
 
 
@@ -27,24 +30,24 @@ def ar1_panel(rng, n, t, rho):
 def test_lag_cov_hand_example():
     mats = lag_cov(Panel(np.array([[1.0, -1.0, 1.0, -1.0]])), l0=2)
     assert len(mats) == 2
-    assert_allclose(mats[1], [[1.0]], rtol=0, atol=0)
-    assert_allclose(mats[2], [[-0.75]], rtol=0, atol=0)
+    assert_allclose(mats[0], [[1.0]], rtol=0, atol=0)
+    assert_allclose(mats[1], [[-0.75]], rtol=0, atol=0)
 
 
-def test_lag_cov_v1_equals_covariance_matrix():
+def test_lag_cov_lag0_equals_covariance_matrix():
     rng = np.random.default_rng(21)
     values = rng.standard_normal((4, 50)) + rng.standard_normal((4, 1))
     mats = lag_cov(Panel(values), l0=3)
     d = values - values.mean(axis=1, keepdims=True)
-    assert_allclose(mats[1], np.cov(d, bias=True), rtol=1e-12)
-    assert_allclose(mats[1], mats[1].T, rtol=0, atol=1e-9)
+    assert_allclose(mats[0], np.cov(d, bias=True), rtol=1e-12)
+    assert_allclose(mats[0], mats[0].T, rtol=0, atol=1e-9)
 
 
 def test_lag_cov_iid_higher_lags_vanish():
     rng = np.random.default_rng(22)
     panel = Panel(rng.standard_normal((2, 10000)))
     mats = lag_cov(panel, l0=2)
-    assert np.abs(mats[2]).max() < 0.05
+    assert np.abs(mats[1]).max() < 0.05
 
 
 def test_lag_cov_l0_one_returns_single_matrix():
@@ -155,6 +158,48 @@ def test_curvature_term_monotone_in_persistence():
             panel = ar1_panel(rng, 1, 1000, rho)
             mass[rho].append(abs(adaptive_block_length(panel).cp1.sum()))
     assert np.median(mass[0.5]) > np.median(mass[0.0])
+
+
+def _formula_on_matrices(sel, t):
+    """The published rule evaluated directly on the N x N CP0 and CP1."""
+    num = 3.0 * t * abs(sel.cp1.sum())
+    den = sel.cp0.sum() + (np.diag(sel.cp0) ** 2).sum()
+    if den <= 0.0:
+        return None, math.ceil(t ** (1 / 3))
+    raw = (num / den) ** 0.2
+    return raw, max(1, min(math.ceil(raw), t // 2))
+
+
+def test_adaptive_matches_formula_on_lag_cov_matrices():
+    flips, worst = [], 0.0
+    for seed in range(300):
+        rng = np.random.default_rng([30, seed])
+        n, t = int(rng.integers(1, 121)), int(rng.integers(4, 401))
+        rho = float(rng.uniform(-0.9, 0.95))
+        values = simulate_panel(DgpConfig(n=n, t=t, rho=rho, seed=seed)).values
+        if seed % 3 == 0:
+            values = values * 10.0 ** rng.uniform(-3.0, 3.0)
+        sel = adaptive_block_length(Panel(values))
+        raw, want = _formula_on_matrices(sel, t)
+        if sel.l_adpt != want or sel.fallback != (raw is None):
+            flips.append(seed)
+        elif raw is not None and raw > 0.0:
+            worst = max(worst, abs(sel.raw - raw) / raw)
+    assert not flips, f"block length differs from the matrix formula at seeds {flips}"
+    assert worst < 1e-12
+
+
+def test_adaptive_builds_no_n_by_n_array():
+    n = 2000
+    panel = Panel(np.random.default_rng(31).standard_normal((n, 60)))
+    tracemalloc.start()
+    try:
+        sel = adaptive_block_length(panel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "_cp" not in vars(sel)
+    assert peak < n * n * 8
 
 
 # --- per-series selection -----------------------------------------------------

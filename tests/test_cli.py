@@ -108,6 +108,17 @@ def test_cmd_test_nan_cell_exits_2(tmp_path):
     assert run_cli(["test", "--input", str(path), "--b", "9", "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["test", "bench"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_a_usage_error(panel_csv, command, workers, capsys):
+    path, _ = panel_csv
+    source = ["--input", str(path)] if command == "test" else ["--scenarios", "paper_tables"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *source, "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_cmd_test_workers_byte_identical(panel_csv, tmp_path):
     path, _ = panel_csv
     outs = []

@@ -9,6 +9,7 @@ from panelcpt import (
     rejection_frequency,
     run_grid,
 )
+from panelcpt import mc
 from panelcpt.mc import RECORD_FIELDS
 
 
@@ -41,6 +42,28 @@ def test_workers_do_not_change_report():
     parallel = rejection_frequency(sc, seed_base=5, workers=4)
     assert serial.rejection_frequency == parallel.rejection_frequency
     assert serial.mean_block_length == parallel.mean_block_length
+
+
+def test_process_pool_capped_at_replication_count(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize=1):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(mc.multiprocessing, "Pool", FakePool)
+    report = rejection_frequency(tiny_scenario(s=3), seed_base=5, workers=8)
+    assert sizes == [3]
+    assert report.s == 3
 
 
 def test_tiny_alpha_never_rejects():
