@@ -7,7 +7,6 @@ from .blocklen import (
     adaptive_block_length,
     autocovariances,
     lag_cov,
-    per_series_block_lengths,
 )
 from .bootstrap import (
     BootstrapDistribution,
@@ -17,21 +16,18 @@ from .bootstrap import (
     empirical_quantile,
     p_value,
     resample_indices,
-    resample_panel,
 )
 from .cpt import (
     TestConfig,
     TestResult,
     default_fixed_block_length,
     effective_level,
-    estimate_changepoint,
     run_test,
 )
 from .dgp import DgpConfig, draw_deltas, resolve_break_time, simulate_panel
 from .errors import (
     DegenerateSeriesError,
     EmptyInputError,
-    IndexOutOfRangeError,
     InvalidBlockLengthError,
     MonteCarloError,
     NonNumericCellError,
@@ -49,13 +45,11 @@ from .mc import (
 )
 from .panel import Panel, SeriesMeans, demean_rows, load_csv, write_csv
 from .stats import (
-    CusumProcess,
     HStatistic,
     JStatistic,
     LrvEstimates,
     StatisticValue,
     bartlett_lrv,
-    cusum,
     h_statistic,
     j_statistic,
 )
@@ -64,19 +58,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Panel", "SeriesMeans", "load_csv", "write_csv", "demean_rows",
-    "CusumProcess", "StatisticValue", "LrvEstimates", "cusum", "j_statistic",
-    "h_statistic", "bartlett_lrv", "JStatistic", "HStatistic",
-    "BlockLengthSelection", "lag_cov", "adaptive_block_length",
-    "per_series_block_lengths", "autocovariances",
+    "StatisticValue", "LrvEstimates", "j_statistic", "h_statistic",
+    "bartlett_lrv", "JStatistic", "HStatistic",
+    "BlockLengthSelection", "lag_cov", "adaptive_block_length", "autocovariances",
     "BootstrapScheme", "BootstrapDistribution", "RngSpec", "resample_indices",
-    "resample_panel", "bootstrap_distribution", "p_value", "empirical_quantile",
-    "TestConfig", "TestResult", "run_test", "estimate_changepoint",
+    "bootstrap_distribution", "p_value", "empirical_quantile",
+    "TestConfig", "TestResult", "run_test",
     "default_fixed_block_length", "effective_level",
     "DgpConfig", "simulate_panel", "draw_deltas", "resolve_break_time",
     "Scenario", "MonteCarloReport", "rejection_frequency", "run_grid",
     "grid_records", "records_csv", "records_json",
     "PanelCptError", "EmptyInputError", "NonRectangularError",
     "NonNumericCellError", "DegenerateSeriesError", "InvalidBlockLengthError",
-    "IndexOutOfRangeError", "MonteCarloError",
+    "MonteCarloError",
     "__version__",
 ]

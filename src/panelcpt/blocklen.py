@@ -22,14 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .panel import Panel
+from .panel import Panel, demean
 
 __all__ = [
     "BlockLengthSelection",
     "autocovariances",
     "lag_cov",
     "adaptive_block_length",
-    "per_series_block_lengths",
 ]
 
 
@@ -164,7 +163,7 @@ def lag_cov(panel: Panel, l0: int) -> np.ndarray:
     """
     if not 1 <= l0 <= panel.n_time:
         raise ValueError(f"l0 must be in [1, T], got {l0}")
-    d = panel.values - panel.values.mean(axis=1, keepdims=True)
+    d = demean(panel.values)
     t = panel.n_time
     v = np.empty((l0, panel.n_series, panel.n_series), dtype=np.float64)
     v[0] = d @ d.T / t
@@ -198,7 +197,7 @@ def adaptive_block_length(panel: Panel, l0: int | None = None) -> BlockLengthSel
         raise ValueError(f"adaptive selection requires T >= 4, got T={t}")
     if l0 is None:
         l0 = pilot_bandwidth(t)
-    d = panel.values - panel.values.mean(axis=1, keepdims=True)
+    d = demean(panel.values)
     level, curvature = bartlett_sums(autocovariances(d.sum(axis=0), l0 - 1), l0)
     diag, _ = bartlett_sums(autocovariances(d, l0 - 1), l0)
     raw, length, fallback = length_formula(level, curvature, np.sum(diag**2), t)
@@ -216,13 +215,3 @@ def select_lengths_from_autocov(gamma: np.ndarray, n_time: int) -> np.ndarray:
     """
     level, curvature = bartlett_sums(gamma, gamma.shape[-1])
     return length_formula(level, curvature, level**2, n_time)[1]
-
-
-def per_series_block_lengths(panel: Panel) -> np.ndarray:
-    """Adaptive bandwidth for each series separately (N = 1 procedure)."""
-    t = panel.n_time
-    if t < 4:
-        raise ValueError(f"adaptive selection requires T >= 4, got T={t}")
-    d = panel.values - panel.values.mean(axis=1, keepdims=True)
-    gamma = autocovariances(d, pilot_bandwidth(t) - 1)
-    return select_lengths_from_autocov(gamma, t)

@@ -20,15 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _random
-from .errors import DegenerateSeriesError, IndexOutOfRangeError, InvalidBlockLengthError
-from .panel import Panel
+from .errors import DegenerateSeriesError, InvalidBlockLengthError
+from .panel import Panel, demean
 
 __all__ = [
     "BootstrapScheme",
     "BootstrapDistribution",
     "RngSpec",
     "resample_indices",
-    "resample_panel",
     "bootstrap_distribution",
     "p_value",
     "empirical_quantile",
@@ -174,54 +173,40 @@ def _stationary_indices(t: int, length: int, rng: np.random.Generator) -> np.nda
     return ((np.repeat(s, ln) + offsets) % t)[:t]
 
 
-def resample_panel(panel: Panel, indices) -> Panel:
-    """Apply one set of time indices to all series jointly."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("indices must be a 1-D integer vector")
-    if idx.size and (idx.min() < 0 or idx.max() >= panel.n_time):
-        raise IndexOutOfRangeError(
-            f"indices must lie in [0, {panel.n_time}), got range "
-            f"[{idx.min()}, {idx.max()}]"
-        )
-    return Panel(panel.values[:, idx])
-
-
-def _statistic_scalar(statistic, values: np.ndarray) -> float:
-    result = statistic(Panel(values))
-    return float(getattr(result, "value", result))
-
-
 def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
                            b: int, rng: RngSpec, workers: int = 1
                            ) -> BootstrapDistribution:
     """Bootstrap distribution of a statistic under joint block resampling.
 
     The panel is row-demeaned once; replicate j then resamples it with
-    indices from ``rng.generator_for(j)`` and re-evaluates the statistic
-    (which re-demeans internally). Results are identical for any ``workers``.
+    indices from ``rng.generator_for(j)``. Replicates are stacked in chunks
+    and evaluated by the statistic's batch kernel (which re-demeans each
+    resample). Results are identical for any ``workers``.
 
     Parameters
     ----------
     panel : Panel
-    statistic : callable
-        Maps a Panel to a StatisticValue or float. Objects exposing a
-        ``batch(values)`` method (stacked resamples of shape (R, N, T'))
-        are evaluated on whole chunks at once.
+    statistic : JStatistic or HStatistic
+        Its ``batch(values)`` maps stacked resamples (R, N, T') to R values.
     scheme : BootstrapScheme
     b : int
         Number of replicates, >= 1.
     rng : RngSpec
     workers : int
         Thread count; chunking is fixed so results do not depend on it.
+
+    Raises
+    ------
+    DegenerateSeriesError
+        For the first replicate with a non-positive long-run variance,
+        naming that replicate and the series.
     """
     if b < 1:
         raise ValueError(f"replicate count must be >= 1, got {b}")
     t = panel.n_time
     t_prime = resample_length(scheme, t)
-    demeaned = panel.values - panel.values.mean(axis=1, keepdims=True)
+    demeaned = demean(panel.values)
     draws = np.empty(b, dtype=np.float64)
-    batched = hasattr(statistic, "batch")
 
     def run_chunk(lo: int) -> None:
         hi = min(b, lo + _CHUNK)
@@ -229,21 +214,12 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
         for j in range(lo, hi):
             idx[j - lo] = resample_indices(scheme, t, rng.generator_for(j))
         # contiguous copy so reductions run in the same order as on a single
-        # (N, T') panel, keeping draws bit-identical to per-replicate evaluation
+        # (1, N, T') stack, keeping draws bit-identical to a scalar call
         stacked = np.ascontiguousarray(demeaned[:, idx].transpose(1, 0, 2))
-        if batched:
-            try:
-                draws[lo:hi] = statistic.batch(stacked)
-                return
-            except DegenerateSeriesError:
-                pass  # fall through to locate the failing replicate
-        for j in range(lo, hi):
-            try:
-                draws[j] = _statistic_scalar(statistic, stacked[j - lo])
-            except DegenerateSeriesError as exc:
-                raise DegenerateSeriesError(
-                    exc.series, f"bootstrap replicate {j}: {exc}"
-                ) from exc
+        try:
+            draws[lo:hi] = statistic.batch(stacked)
+        except DegenerateSeriesError as exc:
+            raise DegenerateSeriesError(exc.series, exc.detail, lo + exc.replicate) from None
 
     chunk_starts = range(0, b, _CHUNK)
     if workers <= 1 or b <= _CHUNK:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -48,12 +49,6 @@ _USAGE_ERRORS = (
     EmptyInputError, NonRectangularError, NonNumericCellError,
     InvalidBlockLengthError, ValueError, OSError,
 )
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 def _write_out(text: str, out: str) -> None:
@@ -212,15 +207,9 @@ def _records_text(records: list[dict], fmt: str) -> str:
 def _cmd_bench(args) -> int:
     scenarios = load_scenario_file(args.scenarios)
     if args.s is not None:
-        scenarios = [Scenario(sc.label, sc.dgp, sc.test, args.s) for sc in scenarios]
+        scenarios = [replace(sc, s=args.s) for sc in scenarios]
     if args.b is not None:
-        scenarios = [
-            Scenario(sc.label, sc.dgp,
-                     TestConfig(sc.test.statistic, sc.test.scheme,
-                                sc.test.block_rule, args.b, sc.test.alpha),
-                     sc.s)
-            for sc in scenarios
-        ]
+        scenarios = [replace(sc, test=replace(sc.test, b=args.b)) for sc in scenarios]
 
     total = len(scenarios)
 

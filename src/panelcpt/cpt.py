@@ -18,13 +18,12 @@ from .bootstrap import (
 )
 from .errors import InvalidBlockLengthError
 from .panel import Panel, demean_rows
-from .stats import HStatistic, JStatistic, bartlett_lrv, h_statistic, j_statistic
+from .stats import HStatistic, JStatistic
 
 __all__ = [
     "TestConfig",
     "TestResult",
     "run_test",
-    "estimate_changepoint",
     "default_fixed_block_length",
     "effective_level",
 ]
@@ -174,13 +173,3 @@ def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
         block_length_used=length,
         diagnostics=diagnostics,
     )
-
-
-def estimate_changepoint(panel: Panel, statistic: str = "J") -> int:
-    """Arg-max time index of the chosen scan objective (ties: smallest t)."""
-    if statistic not in _STATISTICS:
-        raise ValueError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    if statistic == "J":
-        return j_statistic(panel).argmax_t
-    lrv = bartlett_lrv(panel, bandwidth="auto")
-    return h_statistic(panel, lrv).argmax_t

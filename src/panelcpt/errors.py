@@ -34,11 +34,20 @@ class NonNumericCellError(PanelCptError):
 
 
 class DegenerateSeriesError(PanelCptError):
-    """Raised when a series has a non-positive long-run variance estimate."""
+    """Raised when a series has a non-positive long-run variance estimate.
 
-    def __init__(self, series: int, detail: str = "non-positive variance estimate"):
+    ``replicate`` is the bootstrap replicate (from a batch kernel, the
+    position in the evaluated stack) of the failing panel, or None for a
+    single panel.
+    """
+
+    def __init__(self, series: int, detail: str = "non-positive variance estimate",
+                 replicate: int | None = None):
         self.series = series
-        super().__init__(f"series {series}: {detail}")
+        self.detail = detail
+        self.replicate = replicate
+        where = "" if replicate is None else f"bootstrap replicate {replicate}, "
+        super().__init__(f"{where}series {series}: {detail}")
 
 
 class InvalidBlockLengthError(PanelCptError):
@@ -49,10 +58,6 @@ class InvalidBlockLengthError(PanelCptError):
         self.n_time = n_time
         detail = f" for series length {n_time}" if n_time is not None else ""
         super().__init__(f"block length {block_length} invalid{detail}")
-
-
-class IndexOutOfRangeError(PanelCptError):
-    """Raised when resampling indices fall outside the panel's time range."""
 
 
 class MonteCarloError(PanelCptError):

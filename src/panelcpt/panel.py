@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import EmptyInputError, NonNumericCellError, NonRectangularError
 
-__all__ = ["Panel", "SeriesMeans", "load_csv", "write_csv", "csv_text", "demean_rows"]
+__all__ = ["Panel", "SeriesMeans", "load_csv", "write_csv", "csv_text", "demean",
+           "demean_rows"]
 
 _LAYOUTS = ("columns", "rows")
 
@@ -70,6 +71,15 @@ class SeriesMeans:
         object.__setattr__(self, "means", arr)
 
 
+def demean(values: np.ndarray) -> np.ndarray:
+    """Subtract from each row of a (..., T) array its mean over time.
+
+    Every row demeaning in the package goes through here, so the observed
+    statistic and its bootstrap replicates round the same way.
+    """
+    return values - values.mean(axis=-1, keepdims=True)
+
+
 def demean_rows(panel: Panel) -> tuple[Panel, SeriesMeans]:
     """Subtract each series' time mean.
 
@@ -79,8 +89,7 @@ def demean_rows(panel: Panel) -> tuple[Panel, SeriesMeans]:
         The demeaned panel (each row sums to zero up to rounding) and the
         vector of subtracted means.
     """
-    means = panel.values.mean(axis=1)
-    return Panel(panel.values - means[:, None]), SeriesMeans(means)
+    return Panel(demean(panel.values)), SeriesMeans(panel.values.mean(axis=1))
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:

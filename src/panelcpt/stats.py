@@ -1,5 +1,5 @@
-"""CUSUM processes, the two panel change-point statistics, and the
-per-series Bartlett long-run-variance estimator.
+"""The two panel change-point statistics and the per-series Bartlett
+long-run-variance estimator.
 
 The scan statistics both inspect the partial sums of row-demeaned data,
 
@@ -8,6 +8,10 @@ The scan statistics both inspect the partial sums of row-demeaned data,
 and take a maximum over t. ``j_statistic`` aggregates s[i, t]^2 / T across
 series; ``h_statistic`` additionally studentizes each series by its Bartlett
 long-run variance and recenters by the null mean t(T-t)/T^2.
+
+Each statistic has one kernel, an objective over t for a stack of panels
+(R, N, T). Bootstrap chunks evaluate it on the whole stack; a single panel
+is a stack of one, followed by the argmax.
 """
 
 from __future__ import annotations
@@ -18,33 +22,17 @@ import numpy as np
 
 from . import blocklen
 from .errors import DegenerateSeriesError
-from .panel import Panel
+from .panel import Panel, demean
 
 __all__ = [
-    "CusumProcess",
     "StatisticValue",
     "LrvEstimates",
-    "cusum",
     "j_statistic",
     "h_statistic",
     "bartlett_lrv",
     "JStatistic",
     "HStatistic",
 ]
-
-
-@dataclass(frozen=True)
-class CusumProcess:
-    """Partial-sum process of the demeaned panel, s[i, t] for t = 1..T-1."""
-
-    s: np.ndarray = field(repr=False)
-    n_series: int
-    n_time: int
-
-    def __post_init__(self):
-        arr = np.array(self.s, dtype=np.float64, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "s", arr)
 
 
 @dataclass(frozen=True)
@@ -72,30 +60,22 @@ class LrvEstimates:
             object.__setattr__(self, name, arr)
 
 
-def _demean(values: np.ndarray) -> np.ndarray:
-    return values - values.mean(axis=-1, keepdims=True)
-
-
-def cusum(panel: Panel) -> CusumProcess:
-    """Partial sums of the demeaned panel via a single prefix-sum pass."""
-    d = _demean(panel.values)
-    s = np.cumsum(d, axis=-1)[:, : panel.n_time - 1]
-    return CusumProcess(s=s, n_series=panel.n_series, n_time=panel.n_time)
+def _best(objective: np.ndarray) -> StatisticValue:
+    """Maximum and 1-based argmax of the objective of a stack of one panel."""
+    arg = int(np.argmax(objective[0]))
+    return StatisticValue(value=float(objective[0, arg]), argmax_t=arg + 1)
 
 
 def _j_objective(values: np.ndarray) -> np.ndarray:
     """Objective sum_i s[i, t]^2 / T over t, for stacked panels (..., N, T)."""
     t = values.shape[-1]
-    d = _demean(values)
-    s = np.cumsum(d, axis=-1)[..., : t - 1]
+    s = np.cumsum(demean(values), axis=-1)[..., : t - 1]
     return np.sum(s * s, axis=-2) / t
 
 
 def j_statistic(panel: Panel) -> StatisticValue:
     """Unstudentized CUSUM statistic: max_t sum_i s[i, t]^2 / T."""
-    obj = _j_objective(panel.values)
-    arg = int(np.argmax(obj))
-    return StatisticValue(value=float(obj[arg]), argmax_t=arg + 1)
+    return _best(_j_objective(panel.values[None]))
 
 
 def bartlett_lrv(panel: Panel, bandwidth="auto") -> LrvEstimates:
@@ -119,31 +99,24 @@ def bartlett_lrv(panel: Panel, bandwidth="auto") -> LrvEstimates:
     DegenerateSeriesError
         If any sigma2_i is not strictly positive (e.g. a constant series).
     """
-    if isinstance(bandwidth, str) and panel.n_time < 4:
-        raise ValueError(f"adaptive selection requires T >= 4, got T={panel.n_time}")
-    sigma2, lengths = _lrv(_demean(panel.values), bandwidth)
-    bad = np.flatnonzero(sigma2 <= 0.0)
-    if bad.size:
-        i = int(bad[0])
-        detail = (
-            "constant series (zero variance)"
-            if np.all(panel.values[i] == panel.values[i, 0])
-            else "non-positive long-run variance estimate"
-        )
-        raise DegenerateSeriesError(i, detail)
+    sigma2, lengths = _lrv(demean(panel.values), bandwidth)
     return LrvEstimates(sigma2=sigma2, bandwidth_used=lengths)
 
 
 def _lrv(d: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
-    """Bartlett LRV and bandwidths for stacked demeaned series d (..., T).
+    """Bartlett LRV and bandwidths for stacked demeaned series d (..., N, T).
 
     "auto" bandwidths come from pilot autocovariances, which the Bartlett
     sum reuses; lags are computed again only past the pilot bandwidth.
+    Raises DegenerateSeriesError for the first non-positive estimate, with
+    the stack position of its panel as ``replicate`` when d is a stack.
     """
     t = d.shape[-1]
     if isinstance(bandwidth, str):
         if bandwidth != "auto":
             raise ValueError(f"bandwidth must be 'auto' or integer(s), got {bandwidth!r}")
+        if t < 4:
+            raise ValueError(f"adaptive selection requires T >= 4, got T={t}")
         gamma = blocklen.autocovariances(d, blocklen.pilot_bandwidth(t) - 1)
         lengths = blocklen.select_lengths_from_autocov(gamma, t)
     else:
@@ -155,6 +128,13 @@ def _lrv(d: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
     if gamma is None or max_len > gamma.shape[-1]:
         gamma = blocklen.autocovariances(d, max_len - 1)
     sigma2, _ = blocklen.bartlett_sums(gamma[..., :max_len], lengths)
+    bad = np.argwhere(sigma2 <= 0.0)
+    if bad.size:
+        *row, i = (int(k) for k in bad[0])
+        series = d[(*row, i)]
+        detail = ("constant series (zero variance)" if np.all(series == series[0])
+                  else "non-positive long-run variance estimate")
+        raise DegenerateSeriesError(i, detail, replicate=row[0] if row else None)
     return sigma2, lengths
 
 
@@ -168,9 +148,7 @@ def h_statistic(panel: Panel, lrv: LrvEstimates) -> StatisticValue:
         raise ValueError("lrv.sigma2 must have one entry per series")
     if np.any(sigma2 <= 0.0):
         raise DegenerateSeriesError(int(np.flatnonzero(sigma2 <= 0.0)[0]))
-    obj = _h_objective(_demean(panel.values), sigma2)
-    arg = int(np.argmax(obj))
-    return StatisticValue(value=float(obj[arg]), argmax_t=arg + 1)
+    return _best(_h_objective(demean(panel.values[None]), sigma2[None]))
 
 
 def _h_objective(d: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -185,11 +163,11 @@ def _h_objective(d: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
 
 
 class JStatistic:
-    """Callable computing the unstudentized statistic; supports batches.
+    """The unstudentized statistic as a bootstrap statistic object.
 
-    Instances are the statistic objects handed to the bootstrap: calling one
-    on a Panel returns a StatisticValue, while ``batch`` evaluates a stack of
-    resampled panels (R, N, T') in one vectorized pass.
+    Calling one on a Panel returns a StatisticValue; ``batch`` evaluates a
+    stack of resampled panels (R, N, T') in one vectorized pass. Both run
+    the same kernel.
     """
 
     name = "J"
@@ -202,15 +180,16 @@ class JStatistic:
 
 
 class HStatistic:
-    """Callable computing the studentized statistic; supports batches.
+    """The studentized statistic as a bootstrap statistic object.
 
     The per-series long-run variances are re-estimated on every input,
-    including bootstrap resamples, using the configured bandwidth rule.
+    including bootstrap resamples; calls and ``batch`` run the same kernel.
 
     Parameters
     ----------
     bandwidth : "auto" or int
-        Passed through to `bartlett_lrv` on each evaluation.
+        Bartlett bandwidth of the per-series long-run variances, as in
+        `bartlett_lrv`; "auto" requires T >= 4 on every input.
     """
 
     name = "H"
@@ -219,13 +198,15 @@ class HStatistic:
         self.bandwidth = bandwidth
 
     def __call__(self, panel: Panel) -> StatisticValue:
-        lrv = bartlett_lrv(panel, bandwidth=self.bandwidth)
-        return h_statistic(panel, lrv)
+        try:
+            return _best(self._objective(panel.values[None]))
+        except DegenerateSeriesError as exc:  # a single panel is no replicate
+            raise DegenerateSeriesError(exc.series, exc.detail) from None
 
     def batch(self, values: np.ndarray) -> np.ndarray:
-        d = _demean(values)
+        return np.max(self._objective(values), axis=-1)
+
+    def _objective(self, values: np.ndarray) -> np.ndarray:
+        d = demean(values)
         sigma2, _ = _lrv(d, self.bandwidth)
-        if np.any(sigma2 <= 0.0):
-            where = np.argwhere(sigma2 <= 0.0)[0]
-            raise DegenerateSeriesError(int(where[-1]))
-        return np.max(_h_objective(d, sigma2), axis=-1)
+        return _h_objective(d, sigma2)

@@ -9,8 +9,8 @@ from panelcpt import (
     DgpConfig,
     Panel,
     adaptive_block_length,
+    bartlett_lrv,
     lag_cov,
-    per_series_block_lengths,
     simulate_panel,
 )
 
@@ -207,7 +207,7 @@ def test_adaptive_builds_no_n_by_n_array():
 def test_per_series_matches_single_series_runs():
     rng = np.random.default_rng(29)
     panel = Panel(rng.standard_normal((6, 55)))
-    lengths = per_series_block_lengths(panel)
+    lengths = bartlett_lrv(panel).bandwidth_used
     for i in range(panel.n_series):
         single = adaptive_block_length(Panel(panel.values[i : i + 1]))
         assert lengths[i] == single.l_adpt

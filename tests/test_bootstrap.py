@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from panelcpt import (
     BootstrapScheme,
     DegenerateSeriesError,
-    IndexOutOfRangeError,
+    HStatistic,
     InvalidBlockLengthError,
     JStatistic,
     Panel,
@@ -14,7 +14,6 @@ from panelcpt import (
     empirical_quantile,
     p_value,
     resample_indices,
-    resample_panel,
 )
 from panelcpt.bootstrap import BootstrapDistribution, _stationary_indices
 
@@ -121,38 +120,6 @@ def test_invalid_block_length_raises():
                          RngSpec(0).generator_for(0))
 
 
-# --- resample_panel --------------------------------------------------------
-
-def test_resample_identity():
-    panel = Panel(np.arange(12.0).reshape(2, 6))
-    out = resample_panel(panel, np.arange(6))
-    assert_array_equal(out.values, panel.values)
-
-
-def test_resample_rotation():
-    panel = Panel(np.arange(12.0).reshape(2, 6))
-    out = resample_panel(panel, [3, 4, 5, 0, 1, 2])
-    assert_array_equal(out.values, np.roll(panel.values, 3, axis=1))
-
-
-def test_resample_joint_across_series_and_closure():
-    rng = np.random.default_rng(31)
-    panel = Panel(rng.standard_normal((3, 10)))
-    for _ in range(20):
-        idx = rng.integers(0, 10, size=10)
-        out = resample_panel(panel, idx)
-        for tprime in range(10):
-            assert_array_equal(out.values[:, tprime], panel.values[:, idx[tprime]])
-
-
-def test_resample_out_of_range():
-    panel = Panel(np.zeros((1, 5)) + np.arange(5))
-    with pytest.raises(IndexOutOfRangeError):
-        resample_panel(panel, [0, 5])
-    with pytest.raises(IndexOutOfRangeError):
-        resample_panel(panel, [-1, 0])
-
-
 # --- bootstrap distribution -------------------------------------------------
 
 def test_single_block_degeneracy_draws_equal_observed():
@@ -164,6 +131,18 @@ def test_single_block_degeneracy_draws_equal_observed():
     dist = bootstrap_distribution(panel, stat, BootstrapScheme("nonoverlapping", 20),
                                   b=25, rng=RngSpec(4))
     assert np.all(dist.draws == observed)
+
+
+def test_resample_joint_across_series_and_closure():
+    # one index sequence per replicate serves every series: a duplicated
+    # series stays a duplicate, so each J replicate exactly doubles
+    rng = np.random.default_rng(31)
+    row = rng.standard_normal((1, 30))
+    for scheme in (BootstrapScheme("circular", 4), BootstrapScheme("stationary", 3)):
+        single = bootstrap_distribution(Panel(row), JStatistic(), scheme, 150, RngSpec(6))
+        pair = bootstrap_distribution(Panel(np.vstack([row, row])), JStatistic(), scheme,
+                                      150, RngSpec(6))
+        assert_array_equal(pair.draws, 2.0 * single.draws)
 
 
 def test_same_seed_identical_draws():
@@ -217,30 +196,20 @@ def test_draws_match_naive_reimplementation():
     assert abs(got - want) <= 0.1 * abs(want)
 
 
-def test_generic_callable_statistic():
-    rng = np.random.default_rng(36)
-    panel = Panel(rng.standard_normal((2, 24)))
-
-    def spread(p: Panel) -> float:
-        return float(p.values.max() - p.values.min())
-
-    dist = bootstrap_distribution(panel, spread, BootstrapScheme("circular", 3),
-                                  b=40, rng=RngSpec(2))
-    assert dist.b == 40
-    assert np.all(np.isfinite(dist.draws))
-
-
 def test_statistic_error_reports_replicate_index():
-    rng = np.random.default_rng(37)
-    panel = Panel(rng.standard_normal((2, 12)))
-
-    def broken(p: Panel) -> float:
-        raise DegenerateSeriesError(0, "forced failure")
-
-    with pytest.raises(DegenerateSeriesError) as err:
-        bootstrap_distribution(panel, broken, BootstrapScheme("circular", 3),
-                               b=10, rng=RngSpec(3))
-    assert "replicate 0" in str(err.value)
+    # series 0 is constant on every resample built from its first three
+    # length-2 blocks; replicate 3 is the first such draw under seed 3
+    panel = Panel(np.array([[0, 0, 0, 0, 0, 0, 0, 1],
+                            [0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 1.1, -0.4]]))
+    messages = set()
+    for b in (50, 200):
+        for workers in (1, 2):
+            with pytest.raises(DegenerateSeriesError) as err:
+                bootstrap_distribution(panel, HStatistic(), BootstrapScheme("nonoverlapping", 2),
+                                       b=b, rng=RngSpec(3), workers=workers)
+            assert (err.value.replicate, err.value.series) == (3, 0)
+            messages.add(str(err.value))
+    assert messages == {"bootstrap replicate 3, series 0: constant series (zero variance)"}
 
 
 def test_b_must_be_positive():

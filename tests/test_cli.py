@@ -97,6 +97,15 @@ def test_cmd_test_constant_series_h_exits_3(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err.lower()
 
 
+def test_cmd_test_h_on_short_resamples_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    write_csv(Panel(np.random.default_rng(0).standard_normal((3, 4))), path)
+    code = run_cli(["test", "--input", str(path), "--statistic", "H", "--scheme", "nbb",
+                    "--block", "3", "--b", "99", "--seed", "1"])
+    assert code == 2
+    assert "T >= 4" in capsys.readouterr().err
+
+
 def test_cmd_test_missing_file_exits_2(tmp_path):
     assert run_cli(["test", "--input", str(tmp_path / "nope.csv"),
                     "--b", "9", "--seed", "1"]) == 2

@@ -4,12 +4,13 @@ import pytest
 from panelcpt import (
     DegenerateSeriesError,
     DgpConfig,
+    HStatistic,
     InvalidBlockLengthError,
     Panel,
     TestConfig,
     default_fixed_block_length,
     effective_level,
-    estimate_changepoint,
+    j_statistic,
     run_test,
     simulate_panel,
 )
@@ -128,6 +129,15 @@ def test_adaptive_rule_needs_t_at_least_four():
         run_test(panel, TestConfig(block_rule="adaptive", b=9, seed=1))
 
 
+def test_h_auto_bandwidth_on_short_resamples_is_an_error():
+    # every non-overlapping resample has T' = 3, too short for "auto"
+    # bandwidths, although the observed panel (T = 4) is long enough
+    panel = Panel(np.random.default_rng(0).standard_normal((3, 4)))
+    cfg = TestConfig(statistic="H", scheme="nonoverlapping", block_rule=3, b=99, seed=1)
+    with pytest.raises(ValueError, match="T >= 4, got T=3"):
+        run_test(panel, cfg)
+
+
 def test_h_on_constant_series_is_degenerate():
     values = np.vstack([np.random.default_rng(0).standard_normal(20),
                         np.full(20, 1.0)])
@@ -154,7 +164,9 @@ def test_diagnostics_contents():
 # --- change-point estimation -------------------------------------------------
 
 def test_estimate_changepoint_hand_example():
-    assert estimate_changepoint(Panel(np.array([[0.0, 0.0, 0.0, 1.0]])), "J") == 3
+    res = run_test(Panel(np.array([[0.0, 0.0, 0.0, 1.0]])),
+                   TestConfig(block_rule=1, b=9, seed=1))
+    assert res.changepoint_estimate == 3
 
 
 def test_estimate_changepoint_time_reversal():
@@ -162,21 +174,16 @@ def test_estimate_changepoint_time_reversal():
     values = rng.standard_normal((2, 40))
     values[:, 12:] += 2.0
     t = 40
-    est = estimate_changepoint(Panel(values), "J")
-    est_rev = estimate_changepoint(Panel(values[:, ::-1].copy()), "J")
+    est = j_statistic(Panel(values)).argmax_t
+    est_rev = j_statistic(Panel(values[:, ::-1].copy())).argmax_t
     assert abs(est_rev - (t - est)) <= 1  # tie-breaking slack
 
 
 def test_estimate_changepoint_range_on_noise():
     panel = noise_panel(13, 3, 25)
-    for statistic in ("J", "H"):
-        est = estimate_changepoint(panel, statistic)
+    for stat in (j_statistic, HStatistic()):
+        est = stat(panel).argmax_t
         assert 1 <= est <= 24
-
-
-def test_estimate_changepoint_rejects_unknown():
-    with pytest.raises(ValueError):
-        estimate_changepoint(noise_panel(14, 2, 10), "X")
 
 
 # --- defaults -----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from panelcpt import (
@@ -7,12 +9,12 @@ from panelcpt import (
     HStatistic,
     JStatistic,
     Panel,
+    adaptive_block_length,
     bartlett_lrv,
-    cusum,
     h_statistic,
     j_statistic,
-    per_series_block_lengths,
 )
+from panelcpt.stats import _j_objective
 
 
 # --- independent slow reference implementations -------------------------
@@ -64,34 +66,23 @@ def naive_h(values, sigma2):
     return best, arg
 
 
-# --- cusum ---------------------------------------------------------------
+# --- cusum (through the J objective, sum_i s[i, t]^2 / T) ----------------
 
 def test_cusum_hand_example():
-    proc = cusum(Panel(np.array([[0.0, 0.0, 0.0, 1.0]])))
-    assert_allclose(proc.s[0], [-0.25, -0.5, -0.75], rtol=0, atol=0)
+    obj = _j_objective(np.array([[[0.0, 0.0, 0.0, 1.0]]]))
+    assert_allclose(obj[0], np.array([0.25, 0.5, 0.75]) ** 2 / 4, rtol=0, atol=0)
 
 
 def test_cusum_constant_series_is_zero():
-    proc = cusum(Panel(np.full((2, 6), 3.5)))
-    assert_allclose(proc.s, np.zeros((2, 5)), rtol=0, atol=0)
+    obj = _j_objective(np.full((1, 2, 6), 3.5))
+    assert_allclose(obj, np.zeros((1, 5)), rtol=0, atol=0)
 
 
 def test_cusum_matches_naive():
     rng = np.random.default_rng(42)
     values = rng.standard_normal((5, 30))
-    proc = cusum(Panel(values))
-    assert_allclose(proc.s, naive_cusum(values), rtol=1e-10)
-
-
-def test_cusum_full_sum_vanishes():
-    rng = np.random.default_rng(43)
-    values = rng.standard_normal((4, 50)) * 100.0
-    panel = Panel(values)
-    proc = cusum(panel)
-    d = values - values.mean(axis=1, keepdims=True)
-    full = proc.s[:, -1] + d[:, -1]  # partial sum at t = T
-    tol = 1e-9 * panel.n_time * np.abs(values).max()
-    assert np.abs(full).max() <= tol
+    obj = _j_objective(values[None])[0]
+    assert_allclose(obj, (naive_cusum(values) ** 2).sum(axis=0) / 30, rtol=1e-10)
 
 
 # --- j statistic ---------------------------------------------------------
@@ -177,7 +168,7 @@ def test_bartlett_auto_matches_per_series_selection():
     rng = np.random.default_rng(9)
     panel = Panel(rng.standard_normal((5, 80)))
     lrv = bartlett_lrv(panel, bandwidth="auto")
-    lengths = per_series_block_lengths(panel)
+    lengths = [adaptive_block_length(Panel(panel.values[i : i + 1])).l_adpt for i in range(5)]
     np.testing.assert_array_equal(lrv.bandwidth_used, lengths)
     expected = [
         naive_bartlett(panel.values[i : i + 1], int(lengths[i]))[0] for i in range(5)
@@ -282,4 +273,75 @@ def test_batch_matches_scalar_path():
     h = HStatistic(bandwidth="auto")
     hbatch = h.batch(np.ascontiguousarray(stack))
     for r in range(7):
-        assert_allclose(hbatch[r], h(Panel(stack[r])).value, rtol=1e-12)
+        assert hbatch[r] == h(Panel(stack[r])).value
+
+
+def test_h_auto_bandwidth_needs_t_at_least_four_on_both_paths():
+    values = np.random.default_rng(0).standard_normal((3, 3))
+    h = HStatistic()
+    with pytest.raises(ValueError, match="T >= 4"):
+        h.batch(values[None])
+    with pytest.raises(ValueError, match="T >= 4"):
+        h(Panel(values))
+
+
+def test_h_call_on_constant_series_names_only_the_series():
+    panel = Panel(np.vstack([np.random.default_rng(0).standard_normal(10),
+                             np.full(10, 4.0)]))
+    with pytest.raises(DegenerateSeriesError) as err:
+        HStatistic(bandwidth=2)(panel)
+    assert err.value.replicate is None
+    assert str(err.value) == "series 1: constant series (zero variance)"
+
+
+# --- properties over generated panels -----------------------------------------
+
+@st.composite
+def panels(draw):
+    """Seeded normal panels, N 1-12 and T 4-120, scaled by 10^U(-3, 3)."""
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(4, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return np.random.default_rng(seed).standard_normal((n, t)) * scale
+
+
+_PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                              database=None)
+_EACH_STATISTIC = pytest.mark.parametrize(
+    "stat", [JStatistic(), HStatistic(), HStatistic(bandwidth=2)], ids=["J", "H-auto", "H-2"])
+
+
+def _atol(stat, n):
+    # J scales with the data and is a sum of squares; H is scale-free and
+    # centred, so it can sit near zero
+    return 1e-9 * n if stat.name == "H" else 0.0
+
+
+@_EACH_STATISTIC
+@_PROPERTY_SETTINGS
+@given(values=panels())
+def test_call_equals_batch_bit_for_bit(stat, values):
+    assert stat(Panel(values)).value == stat.batch(values[None])[0]
+
+
+@_EACH_STATISTIC
+@_PROPERTY_SETTINGS
+@given(values=panels(), data=st.data())
+def test_invariant_under_series_permutation(stat, values, data):
+    order = data.draw(st.permutations(range(values.shape[0])))
+    base = stat(Panel(values)).value
+    got = stat(Panel(values[list(order)])).value
+    assert_allclose(got, base, rtol=1e-9, atol=_atol(stat, values.shape[0]))
+
+
+@_EACH_STATISTIC
+@_PROPERTY_SETTINGS
+@given(values=panels(), data=st.data())
+def test_invariant_under_per_series_shift(stat, values, data):
+    n = values.shape[0]
+    shifts = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    spread = values.std(axis=1, keepdims=True)
+    base = stat(Panel(values)).value
+    got = stat(Panel(values + np.array(shifts)[:, None] * spread)).value
+    assert_allclose(got, base, rtol=1e-9, atol=_atol(stat, n))
