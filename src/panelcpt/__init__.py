@@ -43,7 +43,7 @@ from .mc import (
     rejection_frequency,
     run_grid,
 )
-from .panel import Panel, SeriesMeans, demean_rows, load_csv, write_csv
+from .panel import Panel, load_csv, write_csv
 from .stats import (
     HStatistic,
     JStatistic,
@@ -57,7 +57,7 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Panel", "SeriesMeans", "load_csv", "write_csv", "demean_rows",
+    "Panel", "load_csv", "write_csv",
     "StatisticValue", "LrvEstimates", "j_statistic", "h_statistic",
     "bartlett_lrv", "JStatistic", "HStatistic",
     "BlockLengthSelection", "lag_cov", "adaptive_block_length", "autocovariances",

@@ -14,6 +14,7 @@ import numpy as np
 _TWO53 = float(2**53)
 
 __all__ = [
+    "check_seed",
     "derive_seed",
     "generator",
     "uniform_open",
@@ -23,7 +24,8 @@ __all__ = [
 ]
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
+    """The seed as an int; every seed in the package must be one in [0, 2**64)."""
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= int(seed) < 2**64:
@@ -38,14 +40,14 @@ def derive_seed(*path: int) -> int:
     documented rule used to decouple streams, e.g. ``(seed_base, rep, 0)`` for
     data generation and ``(seed_base, rep, 1)`` for bootstrap resampling.
     """
-    parts = [_check_seed(p) for p in path]
+    parts = [check_seed(p) for p in path]
     ss = np.random.SeedSequence(parts)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def generator(*path: int) -> np.random.Generator:
     """Build a PCG64 generator keyed by an integer path (see `derive_seed`)."""
-    parts = [_check_seed(p) for p in path]
+    parts = [check_seed(p) for p in path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(parts)))
 
 

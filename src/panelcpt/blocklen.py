@@ -172,7 +172,7 @@ def lag_cov(panel: Panel, l0: int) -> np.ndarray:
     return v
 
 
-def adaptive_block_length(panel: Panel, l0: int | None = None) -> BlockLengthSelection:
+def adaptive_block_length(panel: Panel) -> BlockLengthSelection:
     """Select a panel-wide bootstrap block length from the data.
 
     With the Bartlett matrices CP0 = V_0 + 2 * sum_k w(k, l0) V_k and
@@ -185,18 +185,18 @@ def adaptive_block_length(panel: Panel, l0: int | None = None) -> BlockLengthSel
     sums of the aggregate series, and CP0[j,j] as that of series j, so no
     N x N matrix is formed.
 
+    The pilot bandwidth is always l0 = ceil(sqrt(T)); the selection
+    reports it as ``l0``.
+
     Parameters
     ----------
     panel : Panel
         Requires T >= 4.
-    l0 : int, optional
-        Pilot bandwidth override in [1, T]; defaults to ceil(sqrt(T)).
     """
     t = panel.n_time
     if t < 4:
         raise ValueError(f"adaptive selection requires T >= 4, got T={t}")
-    if l0 is None:
-        l0 = pilot_bandwidth(t)
+    l0 = pilot_bandwidth(t)
     d = demean(panel.values)
     level, curvature = bartlett_sums(autocovariances(d.sum(axis=0), l0 - 1), l0)
     diag, _ = bartlett_sums(autocovariances(d, l0 - 1), l0)

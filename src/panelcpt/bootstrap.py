@@ -34,7 +34,7 @@ __all__ = [
     "quantile_rank",
 ]
 
-_KINDS = ("nonoverlapping", "circular", "stationary")
+KINDS = ("nonoverlapping", "circular", "stationary")
 
 # Replicates are evaluated in fixed-size chunks so the vectorized statistic
 # sees identical array shapes regardless of worker count.
@@ -58,30 +58,30 @@ class BootstrapScheme:
     block_length: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"scheme kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"scheme kind must be one of {KINDS}, got {self.kind!r}")
         if int(self.block_length) < 1:
             raise InvalidBlockLengthError(self.block_length)
         object.__setattr__(self, "block_length", int(self.block_length))
 
+    def checked_length(self, t: int) -> int:
+        """L, checked to fit a series of length t (InvalidBlockLengthError if L > t)."""
+        if self.block_length > t:
+            raise InvalidBlockLengthError(self.block_length, t)
+        return self.block_length
+
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Master seed plus the stream-derivation rule for bootstrap replicates.
+    """Master seed of the bootstrap replicates, an integer in [0, 2**64).
 
-    The only supported rule is "pcg64-seedseq": replicate j uses
-    ``Generator(PCG64(SeedSequence([seed, j])))``.
+    Replicate j uses ``Generator(PCG64(SeedSequence([seed, j])))``.
     """
 
     seed: int
-    stream: str = "pcg64-seedseq"
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.stream != "pcg64-seedseq":
-            raise ValueError(f"unknown stream derivation rule {self.stream!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _random.check_seed(self.seed))
 
     def generator_for(self, replicate: int) -> np.random.Generator:
         return _random.generator(self.seed, replicate)
@@ -107,24 +107,10 @@ class BootstrapDistribution:
         return int(self.draws.size)
 
 
-def _check_block(scheme: BootstrapScheme, t: int) -> int:
-    length = scheme.block_length
-    if not 1 <= length <= t:
-        raise InvalidBlockLengthError(length, t)
-    return length
-
-
-def resample_length(scheme: BootstrapScheme, t: int) -> int:
-    """Length T' of one resample: m*L for non-overlapping blocks, else T."""
-    length = _check_block(scheme, t)
-    if scheme.kind == "nonoverlapping":
-        return (t // length) * length
-    return t
-
-
 def resample_indices(scheme: BootstrapScheme, t: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Draw one replicate's time indices (0-based, length `resample_length`).
+    """Draw one replicate's time indices (0-based; m*L of them for
+    non-overlapping blocks, else T).
 
     nonoverlapping
         The m = floor(T/L) blocks starting at 0, L, 2L, ... are drawn m
@@ -136,7 +122,7 @@ def resample_indices(scheme: BootstrapScheme, t: int,
         Blocks have independent geometric lengths with success probability
         1/L and uniform starts, wrap modulo T, truncated to T.
     """
-    length = _check_block(scheme, t)
+    length = scheme.checked_length(t)
     if scheme.kind == "nonoverlapping":
         m = t // length
         picks = rng.integers(0, m, size=m)
@@ -204,7 +190,8 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
     if b < 1:
         raise ValueError(f"replicate count must be >= 1, got {b}")
     t = panel.n_time
-    t_prime = resample_length(scheme, t)
+    length = scheme.checked_length(t)
+    t_prime = (t // length) * length if scheme.kind == "nonoverlapping" else t
     demeaned = demean(panel.values)
     draws = np.empty(b, dtype=np.float64)
 
@@ -233,8 +220,9 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
 
 
 def quantile_rank(q: float, b: int) -> int:
-    """Order-statistic rank ceil(q*b), guarded against rounding at integers."""
-    return int(math.ceil(round(q * b, 9)))
+    """Order-statistic rank ceil(q*b), guarded against rounding at integers
+    and at least 1, so a tiny q names the smallest draw."""
+    return max(1, int(math.ceil(round(q * b, 9))))
 
 
 def empirical_quantile(dist: BootstrapDistribution, q: float) -> float:

@@ -27,8 +27,9 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .cpt import TestConfig, run_test
-from .dgp import DgpConfig, simulate_panel
+from .bootstrap import BootstrapScheme
+from .cpt import STATISTICS, TestConfig, run_test
+from .dgp import LAWS, DgpConfig, simulate_panel
 from .errors import (
     DegenerateSeriesError,
     EmptyInputError,
@@ -43,8 +44,10 @@ from .panel import csv_text, load_csv
 
 __all__ = ["main", "parse_scenarios", "load_scenario_file"]
 
+# command-line and scenario-file spellings of the library's option values
 _SCHEME_ALIASES = {"nbb": "nonoverlapping", "cbb": "circular", "sb": "stationary"}
 _BREAK_ALIASES = {"none": "none", "cancel": "cancelling", "noncancel": "noncancelling"}
+_LAYOUT_ALIASES = {"cols": "columns", "rows": "rows"}
 _USAGE_ERRORS = (
     EmptyInputError, NonRectangularError, NonNumericCellError,
     InvalidBlockLengthError, ValueError, OSError,
@@ -71,21 +74,44 @@ def _block_rule(token: str):
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"--block must be 'adaptive' or an integer, got {token!r}")
+        raise ValueError(f"block must be 'adaptive' or an integer, got {token!r}")
+
+
+def _alias(table: dict, key: str, token: str) -> str:
+    if token not in table:
+        raise ValueError(f"{key} must be one of {tuple(table)}, got {token!r}")
+    return table[token]
+
+
+def _test_config(fields: dict) -> TestConfig:
+    return TestConfig(
+        statistic=fields["statistic"],
+        scheme=_alias(_SCHEME_ALIASES, "scheme", fields["scheme"]),
+        block_rule=_block_rule(fields["block"]),
+        b=int(fields["b"]),
+        alpha=float(fields["alpha"]),
+        seed=fields.get("seed"),
+    )
+
+
+def _dgp_config(fields: dict) -> DgpConfig:
+    return DgpConfig(
+        n=int(fields["n"]),
+        t=int(fields["t"]),
+        rho=float(fields["rho"]),
+        beta=float(fields["beta"]),
+        error_law=fields["law"],
+        break_spec=_alias(_BREAK_ALIASES, "break", fields["break"]),
+        t0_fraction=float(fields["t0_frac"]),
+        seed=fields.get("seed"),
+    )
 
 
 # ---------------------------------------------------------------- test
 
 def _cmd_test(args) -> int:
-    panel = load_csv(args.input, layout={"cols": "columns", "rows": "rows"}[args.layout])
-    cfg = TestConfig(
-        statistic=args.statistic,
-        scheme=_SCHEME_ALIASES[args.scheme],
-        block_rule=_block_rule(args.block),
-        b=args.b,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+    panel = load_csv(args.input, layout=_LAYOUT_ALIASES[args.layout])
+    cfg = _test_config(vars(args))
     result = run_test(panel, cfg, workers=args.workers)
     record = {
         "statistic": cfg.statistic,
@@ -108,30 +134,20 @@ def _cmd_test(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
-    cfg = DgpConfig(
-        n=args.n, t=args.t, rho=args.rho, beta=args.beta,
-        error_law={"normal": "normal", "t5": "t5"}[args.law],
-        break_spec=_BREAK_ALIASES[args.break_spec],
-        t0_fraction=args.t0_frac,
-        seed=args.seed,
-    )
-    panel = simulate_panel(cfg)
+    panel = simulate_panel(_dgp_config(vars(args)))
     _write_out(csv_text(panel, layout="columns"), args.out)
     return 0
 
 
 # ---------------------------------------------------------------- bench
 
-_SCENARIO_KEYS = {
-    "label", "n", "t", "rho", "beta", "law", "break", "t0_frac",
-    "statistic", "scheme", "block", "b", "alpha", "s",
-}
-
+# defaults of the scenario keys, and of the matching command-line options
 _DEFAULTS = {
     "rho": "0", "beta": "0", "law": "normal", "break": "none",
     "t0_frac": "0.5", "statistic": "J", "scheme": "nbb", "block": "adaptive",
     "b": "500", "alpha": "0.05", "s": "1000",
 }
+_SCENARIO_KEYS = {"label", "n", "t", *_DEFAULTS}
 
 
 def _tokenize(line: str, lineno: int) -> dict:
@@ -150,23 +166,13 @@ def _build_scenario(fields: dict, lineno: int) -> Scenario:
     for required in ("label", "n", "t"):
         if required not in fields:
             raise ValueError(f"line {lineno}: scenario needs {required}=")
-    dgp = DgpConfig(
-        n=int(fields["n"]),
-        t=int(fields["t"]),
-        rho=float(fields["rho"]),
-        beta=float(fields["beta"]),
-        error_law=fields["law"],
-        break_spec=_BREAK_ALIASES[fields["break"]],
-        t0_fraction=float(fields["t0_frac"]),
-    )
-    test = TestConfig(
-        statistic=fields["statistic"],
-        scheme=_SCHEME_ALIASES[fields["scheme"]],
-        block_rule=_block_rule(fields["block"]),
-        b=int(fields["b"]),
-        alpha=float(fields["alpha"]),
-    )
-    return Scenario(label=fields["label"], dgp=dgp, test=test, s=int(fields["s"]))
+    try:
+        dgp, test = _dgp_config(fields), _test_config(fields)
+        if test.block_rule != "adaptive":  # a fixed L must fit T before any replication runs
+            BootstrapScheme(test.scheme, test.block_rule).checked_length(dgp.t)
+        return Scenario(label=fields["label"], dgp=dgp, test=test, s=int(fields["s"]))
+    except (ValueError, InvalidBlockLengthError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
@@ -200,10 +206,6 @@ def load_scenario_file(spec: str) -> list[Scenario]:
     return parse_scenarios(text)
 
 
-def _records_text(records: list[dict], fmt: str) -> str:
-    return records_json(records) if fmt == "json" else records_csv(records)
-
-
 def _cmd_bench(args) -> int:
     scenarios = load_scenario_file(args.scenarios)
     if args.s is not None:
@@ -227,7 +229,7 @@ def _cmd_bench(args) -> int:
     fmt = args.format
     if fmt == "auto":
         fmt = "json" if args.out.endswith(".json") else "csv"
-    _write_out(_records_text(records, fmt), args.out)
+    _write_out(records_json(records) if fmt == "json" else records_csv(records), args.out)
     return 0
 
 
@@ -242,15 +244,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run a change-point test on a CSV panel")
     p_test.add_argument("--input", required=True, help="CSV file with the panel")
-    p_test.add_argument("--layout", choices=("cols", "rows"), default="cols",
+    p_test.add_argument("--layout", choices=_LAYOUT_ALIASES, default="cols",
                         help="series per column (default) or per row")
-    p_test.add_argument("--statistic", choices=("J", "H"), default="J")
-    p_test.add_argument("--scheme", choices=("nbb", "cbb", "sb"), default="nbb",
+    p_test.add_argument("--statistic", choices=STATISTICS, default=_DEFAULTS["statistic"])
+    p_test.add_argument("--scheme", choices=_SCHEME_ALIASES, default=_DEFAULTS["scheme"],
                         help="non-overlapping, circular, or stationary bootstrap")
-    p_test.add_argument("--block", default="adaptive",
+    p_test.add_argument("--block", default=_DEFAULTS["block"],
                         help="'adaptive' or a fixed integer block length")
-    p_test.add_argument("--b", type=int, default=500, help="bootstrap replicates")
-    p_test.add_argument("--alpha", type=float, default=0.05)
+    p_test.add_argument("--b", type=int, default=_DEFAULTS["b"], help="bootstrap replicates")
+    p_test.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--workers", type=_workers, default=1)
     p_test.add_argument("--out", default="-", help="output path or - for stdout")
@@ -259,12 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate a panel and write it as CSV")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--t", type=int, required=True)
-    p_sim.add_argument("--rho", type=float, default=0.0)
-    p_sim.add_argument("--beta", type=float, default=0.0)
-    p_sim.add_argument("--law", choices=("normal", "t5"), default="normal")
-    p_sim.add_argument("--break", dest="break_spec",
-                       choices=("none", "cancel", "noncancel"), default="none")
-    p_sim.add_argument("--t0-frac", dest="t0_frac", type=float, default=0.5)
+    p_sim.add_argument("--rho", type=float, default=_DEFAULTS["rho"])
+    p_sim.add_argument("--beta", type=float, default=_DEFAULTS["beta"])
+    p_sim.add_argument("--law", choices=LAWS, default=_DEFAULTS["law"])
+    p_sim.add_argument("--break", choices=_BREAK_ALIASES, default=_DEFAULTS["break"])
+    p_sim.add_argument("--t0-frac", dest="t0_frac", type=float, default=_DEFAULTS["t0_frac"])
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default="-", help="output path or - for stdout")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -288,10 +289,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateSeriesError as exc:
-        print(f"panelcpt: degenerate data: {exc}", file=sys.stderr)
-        return 3
-    except MonteCarloError as exc:
+    except (DegenerateSeriesError, MonteCarloError) as exc:
         print(f"panelcpt: degenerate data: {exc}", file=sys.stderr)
         return 3
     except _USAGE_ERRORS as exc:

@@ -7,8 +7,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from . import blocklen
+from . import _random, blocklen
 from .bootstrap import (
+    KINDS,
     BootstrapScheme,
     RngSpec,
     bootstrap_distribution,
@@ -16,8 +17,7 @@ from .bootstrap import (
     p_value,
     quantile_rank,
 )
-from .errors import InvalidBlockLengthError
-from .panel import Panel, demean_rows
+from .panel import Panel, demean
 from .stats import HStatistic, JStatistic
 
 __all__ = [
@@ -28,8 +28,7 @@ __all__ = [
     "effective_level",
 ]
 
-_STATISTICS = ("J", "H")
-_SCHEMES = ("nonoverlapping", "circular", "stationary")
+STATISTICS = {"J": JStatistic, "H": HStatistic}
 
 
 def default_fixed_block_length(n_time: int) -> int:
@@ -70,7 +69,8 @@ class TestConfig:
     alpha : float
         Nominal level in (0, 1).
     seed : int or None
-        Master seed for the bootstrap streams. Must be set before running.
+        Master seed for the bootstrap streams, an integer in [0, 2**64).
+        Must be set before running.
     """
 
     statistic: str = "J"
@@ -83,10 +83,10 @@ class TestConfig:
     __test__ = False  # not a pytest class despite the name
 
     def __post_init__(self):
-        if self.statistic not in _STATISTICS:
-            raise ValueError(f"statistic must be one of {_STATISTICS}, got {self.statistic!r}")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        if self.statistic not in STATISTICS:
+            raise ValueError(f"statistic must be one of {tuple(STATISTICS)}, got {self.statistic!r}")
+        if self.scheme not in KINDS:
+            raise ValueError(f"scheme must be one of {KINDS}, got {self.scheme!r}")
         if isinstance(self.block_rule, str):
             if self.block_rule != "adaptive":
                 raise ValueError(f"block_rule must be 'adaptive' or an integer, got {self.block_rule!r}")
@@ -97,6 +97,8 @@ class TestConfig:
         object.__setattr__(self, "b", int(self.b))
         if not 0.0 < float(self.alpha) < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _random.check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -116,41 +118,35 @@ class TestResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _resolve_block_length(panel: Panel, cfg: TestConfig):
-    if cfg.block_rule == "adaptive":
-        selection = blocklen.adaptive_block_length(panel)
-        return selection.l_adpt, selection
-    length = int(cfg.block_rule)
-    if not 1 <= length <= panel.n_time:
-        raise InvalidBlockLengthError(length, panel.n_time)
-    return length, None
-
-
-def _statistic_object(cfg: TestConfig):
-    return JStatistic() if cfg.statistic == "J" else HStatistic(bandwidth="auto")
-
-
 def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
     """Run one bootstrap change-point test.
 
     Resolves the block length, computes the observed statistic on the
     row-demeaned panel, draws the bootstrap distribution, and fills in the
     quantile at 1 - alpha, the p-value, the decision (strict inequality
-    against the critical value), and the change-point estimate.
+    against the critical value), and the change-point estimate. Data whose
+    largest deviation from a series mean is positive but outside
+    [2**-250, 2**250] raise ValueError before any of this.
 
     Deterministic given (panel, cfg): identical results for any ``workers``.
     """
     if cfg.seed is None:
         raise ValueError("TestConfig.seed must be set to run a test")
-    length, selection = _resolve_block_length(panel, cfg)
-    stat = _statistic_object(cfg)
+    demeaned = demean(panel.values)
+    # the selector squares autocovariances (data to the 4th power); past
+    # these bounds it or the statistics under- or overflow
+    scale = abs(demeaned).max()
+    if 0.0 < scale < 2.0**-250 or scale > 2.0**250:
+        raise ValueError(f"data scale {scale:.3g} (largest deviation from a series "
+                         "mean) is outside [2**-250, 2**250]; rescale the panel")
+    selection = blocklen.adaptive_block_length(panel) if cfg.block_rule == "adaptive" else None
+    scheme = BootstrapScheme(cfg.scheme, selection.l_adpt if selection else cfg.block_rule)
+    length = scheme.checked_length(panel.n_time)
+    stat = STATISTICS[cfg.statistic]()
     # demean as the bootstrap does, so its L = T replicate equals this value bit for bit
-    demeaned, _ = demean_rows(panel)
-    observed = stat(demeaned)
-    dist = bootstrap_distribution(
-        panel, stat, BootstrapScheme(cfg.scheme, length), cfg.b,
-        RngSpec(cfg.seed), workers=workers,
-    )
+    observed = stat(Panel(demeaned))
+    dist = bootstrap_distribution(panel, stat, scheme, cfg.b, RngSpec(cfg.seed),
+                                  workers=workers)
     critical = empirical_quantile(dist, 1.0 - cfg.alpha)
     pv = p_value(dist, observed.value)
     diagnostics = {

@@ -33,7 +33,7 @@ __all__ = [
 
 BURN_IN = 100
 
-_LAWS = ("normal", "t5")
+LAWS = ("normal", "t5")
 _BREAKS = ("none", "cancelling", "noncancelling")
 
 
@@ -59,7 +59,7 @@ class DgpConfig:
         Break located at t0 = floor(t0_fraction * T); the break adds
         delta_i to every observation with t > t0.
     seed : int or None
-        Master seed; must be set before simulating.
+        Master seed, an integer in [0, 2**64); must be set before simulating.
     """
 
     n: int
@@ -83,8 +83,8 @@ class DgpConfig:
         rho_values = np.atleast_1d(np.asarray(self.rho))
         if not np.all(np.abs(rho_values) < 1.0):
             raise ValueError(f"|rho| must be < 1, got {self.rho}")
-        if self.error_law not in _LAWS:
-            raise ValueError(f"error_law must be one of {_LAWS}, got {self.error_law!r}")
+        if self.error_law not in LAWS:
+            raise ValueError(f"error_law must be one of {LAWS}, got {self.error_law!r}")
         if self.break_spec not in _BREAKS:
             raise ValueError(f"break_spec must be one of {_BREAKS}, got {self.break_spec!r}")
         if self.break_spec != "none":
@@ -94,6 +94,8 @@ class DgpConfig:
                     f"break time floor({self.t0_fraction} * {self.t}) = {t0} "
                     f"outside 1..{self.t - 1}"
                 )
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _random.check_seed(self.seed))
 
 
 def _coefficient(name: str, value, n: int):

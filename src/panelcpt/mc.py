@@ -69,20 +69,16 @@ class MonteCarloReport:
     errors: tuple = ()
 
 
-def _run_replication(scenario: Scenario, seed_base: int, r: int):
+def _replication_worker(args):
+    """(r, (reject, block length) or None, error message or None)."""
+    scenario, seed_base, r = args
     dgp = replace(scenario.dgp, seed=derive_seed(seed_base, r, 0))
     test = replace(scenario.test, seed=derive_seed(seed_base, r, 1))
-    panel = simulate_panel(dgp)
-    result = run_test(panel, test)
-    return bool(result.reject), int(result.block_length_used)
-
-
-def _replication_worker(args):
-    scenario, seed_base, r = args
     try:
-        return r, _run_replication(scenario, seed_base, r), None
+        result = run_test(simulate_panel(dgp), test)
     except PanelCptError as exc:
         return r, None, f"replication {r}: {exc}"
+    return r, (bool(result.reject), int(result.block_length_used)), None
 
 
 def rejection_frequency(scenario: Scenario, seed_base: int,

@@ -9,15 +9,14 @@ safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyInputError, NonNumericCellError, NonRectangularError
 
-__all__ = ["Panel", "SeriesMeans", "load_csv", "write_csv", "csv_text", "demean",
-           "demean_rows"]
+__all__ = ["Panel", "load_csv", "write_csv", "csv_text", "demean"]
 
 _LAYOUTS = ("columns", "rows")
 
@@ -59,18 +58,6 @@ class Panel:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class SeriesMeans:
-    """Per-series means subtracted by `demean_rows`."""
-
-    means: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.array(self.means, dtype=np.float64, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "means", arr)
-
-
 def demean(values: np.ndarray) -> np.ndarray:
     """Subtract from each row of a (..., T) array its mean over time.
 
@@ -78,18 +65,6 @@ def demean(values: np.ndarray) -> np.ndarray:
     statistic and its bootstrap replicates round the same way.
     """
     return values - values.mean(axis=-1, keepdims=True)
-
-
-def demean_rows(panel: Panel) -> tuple[Panel, SeriesMeans]:
-    """Subtract each series' time mean.
-
-    Returns
-    -------
-    (Panel, SeriesMeans)
-        The demeaned panel (each row sums to zero up to rounding) and the
-        vector of subtracted means.
-    """
-    return Panel(demean(panel.values)), SeriesMeans(panel.values.mean(axis=1))
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
@@ -156,21 +131,19 @@ def load_csv(path: str | Path, layout: str = "columns") -> Panel:
     return Panel(arr)
 
 
-def csv_text(panel: Panel, layout: str = "columns", header: bool = True) -> str:
-    """Render a panel as CSV text with 17 significant digits per cell."""
+def csv_text(panel: Panel, layout: str = "columns") -> str:
+    """Render a panel as CSV text with 17 significant digits per cell, after
+    a header line (series_1.. for "columns", t_1.. for "rows") that `load_csv` skips."""
     if layout not in _LAYOUTS:
         raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
     arr = panel.values.T if layout == "columns" else panel.values
-    lines = []
-    if header:
-        prefix = "series" if layout == "columns" else "t"
-        lines.append(",".join(f"{prefix}_{k + 1}" for k in range(arr.shape[1])))
+    prefix = "series" if layout == "columns" else "t"
+    lines = [",".join(f"{prefix}_{k + 1}" for k in range(arr.shape[1]))]
     for row in arr:
         lines.append(",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(panel: Panel, path: str | Path, layout: str = "columns",
-              header: bool = True) -> None:
+def write_csv(panel: Panel, path: str | Path, layout: str = "columns") -> None:
     """Write a panel as CSV (17 significant digits, bit-exact round trip)."""
-    Path(path).write_text(csv_text(panel, layout, header), encoding="utf-8")
+    Path(path).write_text(csv_text(panel, layout), encoding="utf-8")

@@ -85,13 +85,6 @@ def test_adaptive_zero_cp1_clamps_to_one():
     assert sel.l_adpt == 1
 
 
-def test_adaptive_l0_override_one_gives_length_one():
-    rng = np.random.default_rng(23)
-    sel = adaptive_block_length(Panel(rng.standard_normal((3, 20))), l0=1)
-    assert np.all(sel.cp1 == 0.0)
-    assert sel.l_adpt == 1
-
-
 def test_adaptive_pilot_is_ceil_sqrt():
     rng = np.random.default_rng(24)
     for t in (4, 10, 50, 101):

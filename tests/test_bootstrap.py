@@ -34,8 +34,8 @@ def test_rngspec_contract():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         RngSpec(-1)
-    with pytest.raises(ValueError):
-        RngSpec(1, stream="other")
+    with pytest.raises(TypeError):
+        RngSpec(1.7)
 
 
 # --- index generation -----------------------------------------------------
@@ -242,6 +242,7 @@ def test_empirical_quantile_examples():
     assert empirical_quantile(four, 0.5) == 2.0
     ten = BootstrapDistribution(np.arange(10.0))
     assert empirical_quantile(ten, 0.9999) == 9.0
+    assert empirical_quantile(ten, 1e-12) == 0.0  # rank clamps to 1, not to the largest
     assert empirical_quantile(ten, 0.9) <= empirical_quantile(ten, 0.95)
     with pytest.raises(ValueError):
         empirical_quantile(ten, 0.0)

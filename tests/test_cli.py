@@ -106,6 +106,14 @@ def test_cmd_test_h_on_short_resamples_exits_2(tmp_path, capsys):
     assert "T >= 4" in capsys.readouterr().err
 
 
+def test_cmd_test_badly_scaled_data_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    write_csv(Panel(np.random.default_rng(0).standard_normal((3, 40)) * 1e200), path)
+    code = run_cli(["test", "--input", str(path), "--b", "19", "--seed", "1"])
+    assert code == 2
+    assert "rescale" in capsys.readouterr().err
+
+
 def test_cmd_test_missing_file_exits_2(tmp_path):
     assert run_cli(["test", "--input", str(tmp_path / "nope.csv"),
                     "--b", "9", "--seed", "1"]) == 2
@@ -164,6 +172,14 @@ def test_parse_scenarios_errors():
         parse_scenarios("record label=x n=5 t=20")
     with pytest.raises(Exception):
         parse_scenarios("# nothing\n")
+    with pytest.raises(ValueError, match="line 2: .*scheme"):
+        parse_scenarios("# comment\nscenario label=x n=5 t=20 scheme=mbb")
+
+
+def test_parse_scenarios_rejects_block_longer_than_series():
+    with pytest.raises(ValueError, match="line 3: block length 50 invalid for series length 10"):
+        parse_scenarios("defaults s=4\nscenario label=a n=3 t=10\nscenario label=x n=3 t=10 block=50")
+    assert parse_scenarios("scenario label=x n=3 t=10 block=10")[0].test.block_rule == 10
 
 
 def test_bundled_paper_tables_resolves():
@@ -221,6 +237,15 @@ def test_bench_timings_flag(tmp_path):
                     "--b", "9", "--timings", "--out", str(out)]) == 0
     records = json.loads(out.read_text())
     assert all(r["wall_time_s"] > 0.0 for r in records)
+
+
+def test_bench_block_longer_than_series_exits_2_before_running(tmp_path, capsys):
+    scn = tmp_path / "grid.scn"
+    scn.write_text("defaults s=4 b=9\nscenario label=x n=3 t=10 block=50\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["bench", "--scenarios", str(scn), "--out", str(out)]) == 2
+    assert "line 2: block length 50" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_missing_file_exits_2(tmp_path):

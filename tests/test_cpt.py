@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,10 @@ def test_config_validation():
         TestConfig(block_rule="auto")
     with pytest.raises(ValueError):
         run_test(noise_panel(0, 2, 10), TestConfig())  # seed unset
+    with pytest.raises(TypeError):
+        TestConfig(seed=1.7)  # was run as seed 1
+    with pytest.raises(ValueError):
+        TestConfig(seed=-1)
 
 
 def test_single_block_degeneracy():
@@ -74,13 +80,18 @@ def test_reject_iff_exceeds_critical_and_dual_p_rule():
         res = run_test(panel, cfg)
         assert res.reject == (res.statistic_value > res.critical_value)
         assert res.reject == (res.p_value <= effective_level(alpha, b))
+    # (1 - alpha) * B rounds to 0: the critical value is the smallest draw
+    res = run_test(noise_panel(4, 3, 30), TestConfig(block_rule=3, b=19, alpha=1 - 1e-12, seed=1))
+    assert res.diagnostics["alpha_effective"] == 19 / 20
+    assert res.reject == (res.statistic_value > res.critical_value)
+    assert res.reject == (res.p_value <= res.diagnostics["alpha_effective"])
 
 
 def test_scale_invariance_exact_power_of_two():
     panel = noise_panel(5, 4, 36)
     cfg = TestConfig(block_rule=4, b=120, seed=13)
     base = run_test(panel, cfg)
-    for c in (2.0, 0.5):
+    for c in (2.0, 0.5, 2.0**230, 2.0**-230):
         scaled = run_test(Panel(panel.values * c), cfg)
         assert scaled.reject == base.reject
         assert scaled.p_value == base.p_value
@@ -104,6 +115,18 @@ def test_scale_invariance_h_decision():
         scaled = run_test(Panel(panel.values * c), cfg)
         assert scaled.reject == base.reject
         assert abs(scaled.p_value - base.p_value) <= 6 / (cfg.b + 1)
+
+
+@pytest.mark.parametrize("statistic", ["J", "H"])
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_badly_scaled_data_is_an_error(statistic, scale):
+    # J underflowed to 0 (p = 1) or overflowed to non-finite draws; H misjudged
+    # a non-constant series as degenerate
+    panel = Panel(np.random.default_rng(0).standard_normal((3, 40)) * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rescale"):
+            run_test(panel, TestConfig(statistic=statistic, b=19, seed=1))
 
 
 def test_detects_large_level_shift():

@@ -88,6 +88,10 @@ def test_config_validation():
         DgpConfig(n=1, t=10, break_spec="cancelling", t0_fraction=0.01)
     with pytest.raises(ValueError):
         simulate_panel(DgpConfig(n=1, t=10))  # seed unset
+    with pytest.raises(TypeError):
+        DgpConfig(n=1, t=10, seed=1.7)
+    with pytest.raises(ValueError):
+        DgpConfig(n=1, t=10, seed=-1)
 
 
 def test_resolve_break_time_floors():

@@ -7,10 +7,10 @@ from panelcpt import (
     NonNumericCellError,
     NonRectangularError,
     Panel,
-    demean_rows,
     load_csv,
     write_csv,
 )
+from panelcpt.panel import demean
 
 
 def test_load_csv_columns_layout(tmp_path):
@@ -106,23 +106,19 @@ def test_panel_is_immutable():
 
 
 def test_demean_constant_row():
-    panel, means = demean_rows(Panel(np.array([[1.0, 1.0, 1.0, 1.0]])))
-    assert_array_equal(panel.values, np.zeros((1, 4)))
-    assert means.means[0] == 1.0
+    assert_array_equal(demean(np.array([[1.0, 1.0, 1.0, 1.0]])), np.zeros((1, 4)))
 
 
 def test_demean_hand_example():
-    panel, means = demean_rows(Panel(np.array([[0.0, 0.0, 0.0, 1.0]])))
-    assert_allclose(panel.values[0], [-0.25, -0.25, -0.25, 0.75], rtol=0, atol=0)
-    assert means.means[0] == 0.25
+    demeaned = demean(np.array([[0.0, 0.0, 0.0, 1.0]]))
+    assert_allclose(demeaned[0], [-0.25, -0.25, -0.25, 0.75], rtol=0, atol=0)
 
 
 def test_demean_idempotent():
     rng = np.random.default_rng(3)
     panel = Panel(rng.standard_normal((5, 40)) + 7.0)
-    once, _ = demean_rows(panel)
-    twice, _ = demean_rows(once)
-    assert_allclose(twice.values, once.values, rtol=0, atol=1e-12)
+    once = demean(panel.values)
+    assert_allclose(demean(once), once, rtol=0, atol=1e-12)
 
 
 def test_demean_row_sums_vanish_on_random_panels():
@@ -132,6 +128,6 @@ def test_demean_row_sums_vanish_on_random_panels():
         t = int(rng.integers(2, 201))
         scale = 10.0 ** rng.integers(-3, 4)
         panel = Panel(rng.standard_normal((n, t)) * scale + rng.normal() * scale)
-        demeaned, _ = demean_rows(panel)
+        demeaned = demean(panel.values)
         tol = 1e-9 * t * max(np.abs(panel.values).max(), 1e-300)
-        assert np.abs(demeaned.values.sum(axis=1)).max() <= tol
+        assert np.abs(demeaned.sum(axis=1)).max() <= tol
