@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 _TWO53 = float(2**53)
+SEED_MAX = 2**64 - 1
 
 __all__ = [
-    "check_seed",
+    "check_int",
     "derive_seed",
     "generator",
     "uniform_open",
@@ -24,13 +25,16 @@ __all__ = [
 ]
 
 
-def check_seed(seed: int) -> int:
-    """The seed as an int; every seed in the package must be one in [0, 2**64)."""
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """Every size, count, seed and worker count as an int in [lo, hi]: a
+    bool or non-integer raises TypeError, a value out of range ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    value = int(value)
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def derive_seed(*path: int) -> int:
@@ -40,14 +44,14 @@ def derive_seed(*path: int) -> int:
     documented rule used to decouple streams, e.g. ``(seed_base, rep, 0)`` for
     data generation and ``(seed_base, rep, 1)`` for bootstrap resampling.
     """
-    parts = [check_seed(p) for p in path]
+    parts = [check_int("seed", p, 0, SEED_MAX) for p in path]
     ss = np.random.SeedSequence(parts)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def generator(*path: int) -> np.random.Generator:
     """Build a PCG64 generator keyed by an integer path (see `derive_seed`)."""
-    parts = [check_seed(p) for p in path]
+    parts = [check_int("seed", p, 0, SEED_MAX) for p in path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(parts)))
 
 

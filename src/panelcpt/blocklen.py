@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._random import check_int
 from .panel import Panel, demean
 
 __all__ = [
@@ -95,8 +96,7 @@ def autocovariances(demeaned: np.ndarray, max_lag: int) -> np.ndarray:
         sample autocovariance.
     """
     t = demeaned.shape[-1]
-    if not 0 <= max_lag < t:
-        raise ValueError(f"max_lag must be in [0, T), got {max_lag} for T={t}")
+    check_int("max_lag", max_lag, 0, t - 1)
     out = np.empty(demeaned.shape[:-1] + (max_lag + 1,), dtype=np.float64)
     for k in range(max_lag + 1):
         if k == 0:
@@ -107,7 +107,9 @@ def autocovariances(demeaned: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def pilot_bandwidth(n_time: int) -> int:
-    """Pilot bandwidth ceil(sqrt(T)); rounded up so it is a usable integer."""
+    """Pilot bandwidth ceil(sqrt(T)); the one place an adaptive choice rejects T < 4."""
+    if n_time < 4:
+        raise ValueError(f"adaptive selection requires T >= 4, got T={n_time}")
     return int(math.ceil(math.sqrt(n_time)))
 
 
@@ -161,8 +163,7 @@ def lag_cov(panel: Panel, l0: int) -> np.ndarray:
     (1/T) * sum_{t=1..T-k} x_t x_{t+k}', with x_t the cross-section vector
     at time t; entry 0 is the contemporaneous covariance.
     """
-    if not 1 <= l0 <= panel.n_time:
-        raise ValueError(f"l0 must be in [1, T], got {l0}")
+    check_int("l0", l0, 1, panel.n_time)
     d = demean(panel.values)
     t = panel.n_time
     v = np.empty((l0, panel.n_series, panel.n_series), dtype=np.float64)
@@ -194,8 +195,6 @@ def adaptive_block_length(panel: Panel) -> BlockLengthSelection:
         Requires T >= 4.
     """
     t = panel.n_time
-    if t < 4:
-        raise ValueError(f"adaptive selection requires T >= 4, got T={t}")
     l0 = pilot_bandwidth(t)
     d = demean(panel.values)
     level, curvature = bartlett_sums(autocovariances(d.sum(axis=0), l0 - 1), l0)

@@ -50,8 +50,8 @@ class BootstrapScheme:
         discarded), circular blocks (wrap around modulo T), or stationary
         resampling with geometric block lengths of mean ``block_length``.
     block_length : int
-        Block length L >= 1 (for "stationary", the expected block length;
-        the geometric success probability is 1/L).
+        Block length L, an integer >= 1 (for "stationary", the expected
+        block length; the geometric success probability is 1/L).
     """
 
     kind: str
@@ -60,9 +60,11 @@ class BootstrapScheme:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"scheme kind must be one of {KINDS}, got {self.kind!r}")
-        if int(self.block_length) < 1:
-            raise InvalidBlockLengthError(self.block_length)
-        object.__setattr__(self, "block_length", int(self.block_length))
+        try:
+            length = _random.check_int("block length", self.block_length, 1)
+        except ValueError:
+            raise InvalidBlockLengthError(self.block_length) from None
+        object.__setattr__(self, "block_length", length)
 
     def checked_length(self, t: int) -> int:
         """L, checked to fit a series of length t (InvalidBlockLengthError if L > t)."""
@@ -81,7 +83,7 @@ class RngSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _random.check_seed(self.seed))
+        object.__setattr__(self, "seed", _random.check_int("seed", self.seed, 0, _random.SEED_MAX))
 
     def generator_for(self, replicate: int) -> np.random.Generator:
         return _random.generator(self.seed, replicate)
@@ -176,10 +178,10 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
         Its ``batch(values)`` maps stacked resamples (R, N, T') to R values.
     scheme : BootstrapScheme
     b : int
-        Number of replicates, >= 1.
+        Number of replicates, an integer >= 1.
     rng : RngSpec
     workers : int
-        Thread count; chunking is fixed so results do not depend on it.
+        Thread count >= 1; chunking is fixed so results do not depend on it.
 
     Raises
     ------
@@ -187,8 +189,8 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
         For the first replicate with a non-positive long-run variance,
         naming that replicate and the series.
     """
-    if b < 1:
-        raise ValueError(f"replicate count must be >= 1, got {b}")
+    b = _random.check_int("b", b, 1)
+    workers = _random.check_int("workers", workers, 1)
     t = panel.n_time
     length = scheme.checked_length(t)
     t_prime = (t // length) * length if scheme.kind == "nonoverlapping" else t
@@ -209,7 +211,7 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
             raise DegenerateSeriesError(exc.series, exc.detail, lo + exc.replicate) from None
 
     chunk_starts = range(0, b, _CHUNK)
-    if workers <= 1 or b <= _CHUNK:
+    if workers == 1 or b <= _CHUNK:
         for lo in chunk_starts:
             run_chunk(lo)
     else:

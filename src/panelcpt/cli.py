@@ -27,7 +27,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .bootstrap import BootstrapScheme
+from ._random import check_int
 from .cpt import STATISTICS, TestConfig, run_test
 from .dgp import LAWS, DgpConfig, simulate_panel
 from .errors import (
@@ -62,10 +62,10 @@ def _write_out(text: str, out: str) -> None:
 
 
 def _workers(token: str) -> int:
-    value = int(token)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+    try:
+        return check_int("workers", int(token), 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _block_rule(token: str):
@@ -167,10 +167,8 @@ def _build_scenario(fields: dict, lineno: int) -> Scenario:
         if required not in fields:
             raise ValueError(f"line {lineno}: scenario needs {required}=")
     try:
-        dgp, test = _dgp_config(fields), _test_config(fields)
-        if test.block_rule != "adaptive":  # a fixed L must fit T before any replication runs
-            BootstrapScheme(test.scheme, test.block_rule).checked_length(dgp.t)
-        return Scenario(label=fields["label"], dgp=dgp, test=test, s=int(fields["s"]))
+        return Scenario(label=fields["label"], dgp=_dgp_config(fields),
+                        test=_test_config(fields), s=int(fields["s"]))
     except (ValueError, InvalidBlockLengthError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 

@@ -63,14 +63,15 @@ class TestConfig:
     scheme : {"nonoverlapping", "circular", "stationary"}
     block_rule : "adaptive" or int
         "adaptive" selects the block length from the full panel; an integer
-        fixes it.
+        >= 1 fixes it (InvalidBlockLengthError below 1).
     b : int
-        Bootstrap replicates (>= 1).
+        Bootstrap replicates, an integer >= 1.
     alpha : float
-        Nominal level in (0, 1).
+        Nominal level, a real number in (0, 1); stored as a float.
     seed : int or None
         Master seed for the bootstrap streams, an integer in [0, 2**64).
-        Must be set before running.
+        Must be set before running. A float or bool size or seed raises
+        TypeError, as does a str or bool alpha.
     """
 
     statistic: str = "J"
@@ -91,14 +92,16 @@ class TestConfig:
             if self.block_rule != "adaptive":
                 raise ValueError(f"block_rule must be 'adaptive' or an integer, got {self.block_rule!r}")
         else:
-            object.__setattr__(self, "block_rule", int(self.block_rule))
-        if int(self.b) < 1:
-            raise ValueError(f"replicate count must be >= 1, got {self.b}")
-        object.__setattr__(self, "b", int(self.b))
-        if not 0.0 < float(self.alpha) < 1.0:
+            object.__setattr__(self, "block_rule",
+                               BootstrapScheme(self.scheme, self.block_rule).block_length)
+        object.__setattr__(self, "b", _random.check_int("b", self.b, 1))
+        if isinstance(self.alpha, (str, bool)):
+            raise TypeError(f"alpha must be a real number, got {type(self.alpha).__name__}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.seed is not None:
-            object.__setattr__(self, "seed", _random.check_seed(self.seed))
+            object.__setattr__(self, "seed", _random.check_int("seed", self.seed, 0, _random.SEED_MAX))
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
     largest deviation from a series mean is positive but outside
     [2**-250, 2**250] raise ValueError before any of this.
 
-    Deterministic given (panel, cfg): identical results for any ``workers``.
+    Deterministic given (panel, cfg): identical results for any ``workers`` >= 1.
     """
     if cfg.seed is None:
         raise ValueError("TestConfig.seed must be set to run a test")

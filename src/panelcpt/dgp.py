@@ -44,7 +44,7 @@ class DgpConfig:
     Parameters
     ----------
     n, t : int
-        Panel dimensions (N series, T time points).
+        Panel dimensions (N >= 1 series, T >= 2 time points), integers.
     rho : float or sequence of float
         AR(1) coefficient, |rho_i| < 1. A scalar is shared by all series; a
         length-n sequence sets one coefficient per series.
@@ -72,12 +72,8 @@ class DgpConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValueError(f"need at least one series, got n={self.n}")
-        if int(self.t) < 2:
-            raise ValueError(f"need at least two time points, got t={self.t}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "t", int(self.t))
+        object.__setattr__(self, "n", _random.check_int("n", self.n, 1))
+        object.__setattr__(self, "t", _random.check_int("t", self.t, 2))
         object.__setattr__(self, "rho", _coefficient("rho", self.rho, self.n))
         object.__setattr__(self, "beta", _coefficient("beta", self.beta, self.n))
         rho_values = np.atleast_1d(np.asarray(self.rho))
@@ -95,7 +91,7 @@ class DgpConfig:
                     f"outside 1..{self.t - 1}"
                 )
         if self.seed is not None:
-            object.__setattr__(self, "seed", _random.check_seed(self.seed))
+            object.__setattr__(self, "seed", _random.check_int("seed", self.seed, 0, _random.SEED_MAX))
 
 
 def _coefficient(name: str, value, n: int):

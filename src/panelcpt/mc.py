@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._random import derive_seed
+from ._random import check_int, derive_seed
+from .bootstrap import BootstrapScheme
 from .cpt import TestConfig, run_test
 from .dgp import DgpConfig, simulate_panel
 from .errors import MonteCarloError, PanelCptError
@@ -36,6 +37,7 @@ __all__ = [
 class Scenario:
     """One Monte Carlo cell: a data process, a test, and a replication count.
 
+    ``s`` is an integer >= 1, and a fixed block length must fit ``dgp.t``.
     Seeds carried inside ``dgp`` and ``test`` are ignored; the harness
     derives per-replication seeds from its own ``seed_base``.
     """
@@ -46,9 +48,9 @@ class Scenario:
     s: int
 
     def __post_init__(self):
-        if int(self.s) < 1:
-            raise ValueError(f"replication count must be >= 1, got {self.s}")
-        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "s", check_int("s", self.s, 1))
+        if self.test.block_rule != "adaptive":
+            BootstrapScheme(self.test.scheme, self.test.block_rule).checked_length(self.dgp.t)
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,15 @@ class MonteCarloReport:
 
 
 def _replication_worker(args):
-    """(r, (reject, block length) or None, error message or None)."""
+    """((reject, block length) or None, error message or None)."""
     scenario, seed_base, r = args
     dgp = replace(scenario.dgp, seed=derive_seed(seed_base, r, 0))
     test = replace(scenario.test, seed=derive_seed(seed_base, r, 1))
     try:
         result = run_test(simulate_panel(dgp), test)
     except PanelCptError as exc:
-        return r, None, f"replication {r}: {exc}"
-    return r, (bool(result.reject), int(result.block_length_used)), None
+        return None, f"replication {r}: {exc}"
+    return (bool(result.reject), int(result.block_length_used)), None
 
 
 def rejection_frequency(scenario: Scenario, seed_base: int,
@@ -92,27 +94,28 @@ def rejection_frequency(scenario: Scenario, seed_base: int,
         Master seed; replication r uses seeds derived from
         (seed_base, r, purpose) and nothing else.
     workers : int
-        Process count for the outer replication loop. Results are
-        identical for any value.
+        Process count for the outer replication loop, an integer >= 1.
+        Results are identical for any value.
 
     Raises
     ------
     MonteCarloError
         If more than 1% of replications raise.
     """
+    workers = check_int("workers", workers, 1)
     tic = time.perf_counter()
     tasks = [(scenario, seed_base, r) for r in range(scenario.s)]
-    if workers <= 1:
+    if workers == 1:
         outcomes = [_replication_worker(task) for task in tasks]
     else:
+        # map returns results in task order
         with multiprocessing.Pool(processes=min(workers, scenario.s)) as pool:
             outcomes = pool.map(_replication_worker, tasks, chunksize=8)
-    outcomes.sort(key=lambda item: item[0])
 
     rejects = 0
     lengths: list[int] = []
     errors: list[str] = []
-    for _, result, error in outcomes:
+    for result, error in outcomes:
         if error is not None:
             errors.append(error)
             continue

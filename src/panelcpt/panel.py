@@ -62,9 +62,17 @@ def demean(values: np.ndarray) -> np.ndarray:
     """Subtract from each row of a (..., T) array its mean over time.
 
     Every row demeaning in the package goes through here, so the observed
-    statistic and its bootstrap replicates round the same way.
+    statistic and its bootstrap replicates round the same way. If a row sum
+    overflows, rows are averaged about their first entry in a power-of-two
+    scale, so a constant row has mean exactly its value at any finite scale.
     """
-    return values - values.mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = values.mean(axis=-1, keepdims=True)
+        if not np.isfinite(means).all():
+            scale = 0.5 ** (values.shape[-1].bit_length() + 1)  # below 1/(2T)
+            ref = values[..., :1] * scale
+            means = (ref + (values * scale - ref).mean(axis=-1, keepdims=True)) / scale
+        return values - means
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:

@@ -115,8 +115,6 @@ def _lrv(d: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(bandwidth, str):
         if bandwidth != "auto":
             raise ValueError(f"bandwidth must be 'auto' or integer(s), got {bandwidth!r}")
-        if t < 4:
-            raise ValueError(f"adaptive selection requires T >= 4, got T={t}")
         gamma = blocklen.autocovariances(d, blocklen.pilot_bandwidth(t) - 1)
         lengths = blocklen.select_lengths_from_autocov(gamma, t)
     else:

@@ -106,6 +106,23 @@ def test_cmd_test_h_on_short_resamples_exits_2(tmp_path, capsys):
     assert "T >= 4" in capsys.readouterr().err
 
 
+def test_cmd_test_single_series_exits_0(tmp_path):
+    path = tmp_path / "one.csv"
+    write_csv(Panel(np.random.default_rng(3).standard_normal((1, 40))), path)
+    assert run_cli(["test", "--input", str(path), "--b", "19", "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("statistic, block, code", [
+    ("J", "adaptive", 2), ("J", "1", 0), ("H", "1", 2)])
+def test_cmd_test_three_time_points(tmp_path, capsys, statistic, block, code):
+    # a fixed block needs no T >= 4; adaptive blocks and H's bandwidths do
+    path = tmp_path / "short.csv"
+    write_csv(Panel(np.random.default_rng(4).standard_normal((2, 3))), path)
+    assert run_cli(["test", "--input", str(path), "--statistic", statistic,
+                    "--block", block, "--b", "19", "--seed", "1"]) == code
+    assert ("T >= 4" in capsys.readouterr().err) == (code == 2)
+
+
 def test_cmd_test_badly_scaled_data_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     write_csv(Panel(np.random.default_rng(0).standard_normal((3, 40)) * 1e200), path)

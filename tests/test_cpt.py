@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from panelcpt import (
+    BootstrapScheme,
     DegenerateSeriesError,
     DgpConfig,
     HStatistic,
     InvalidBlockLengthError,
     Panel,
+    RngSpec,
+    Scenario,
     TestConfig,
     default_fixed_block_length,
     effective_level,
@@ -41,6 +44,53 @@ def test_config_validation():
         TestConfig(seed=1.7)  # was run as seed 1
     with pytest.raises(ValueError):
         TestConfig(seed=-1)
+    for alpha in ("0.05", True):  # "0.05" was stored and failed in run_test
+        with pytest.raises(TypeError):
+            TestConfig(alpha=alpha, seed=1)
+    cfg = TestConfig(block_rule=np.int32(4), b=np.int64(20), alpha=np.float32(0.25),
+                     seed=np.uint64(7))
+    assert (cfg.block_rule, cfg.b, cfg.alpha, cfg.seed) == (4, 20, 0.25, 7)
+    assert {type(v) for v in (cfg.block_rule, cfg.b, cfg.seed)} == {int}
+    assert type(cfg.alpha) is float
+
+
+_SCENARIO_PARTS = {"label": "x", "dgp": DgpConfig(n=2, t=10), "test": TestConfig()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TestConfig(block_rule=4.7),
+    lambda: TestConfig(b=20.9),
+    lambda: TestConfig(b=True),
+    lambda: TestConfig(seed=False),
+    lambda: DgpConfig(n=2.5, t=10),
+    lambda: DgpConfig(n=2, t=10.9),
+    lambda: DgpConfig(n=True, t=10),
+    lambda: Scenario(**_SCENARIO_PARTS, s=3.7),
+    lambda: Scenario(**_SCENARIO_PARTS, s=True),
+    lambda: BootstrapScheme("circular", 2.9),
+    lambda: BootstrapScheme("circular", True),
+    lambda: RngSpec(np.float64(3.0)),
+], ids=["block_rule", "b", "b-bool", "seed-bool", "n", "t", "n-bool", "s", "s-bool",
+        "block_length", "block_length-bool", "rng-seed"])
+def test_non_integer_sizes_raise_type_error(make):
+    # each was truncated by int() or accepted as 0/1
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_workers_below_one_is_an_error():
+    with pytest.raises(ValueError, match="workers"):
+        run_test(noise_panel(0, 2, 10), TestConfig(block_rule=2, b=9, seed=1), workers=0)
+
+
+@pytest.mark.parametrize("value, n", [(1e307, 1), (-1e307, 3)])
+def test_constant_panel_near_float_max_takes_constant_path(value, n):
+    # the row sum overflowed in demean: a RuntimeWarning, then "data scale inf"
+    cfg = TestConfig(block_rule=2, b=9, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_test(Panel(np.full((n, 40), value)), cfg)
+    assert got == run_test(Panel(np.ones((n, 40))), cfg)
 
 
 def test_single_block_degeneracy():

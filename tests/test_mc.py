@@ -1,7 +1,9 @@
 import pytest
 
 from panelcpt import (
+    DegenerateSeriesError,
     DgpConfig,
+    InvalidBlockLengthError,
     MonteCarloError,
     Scenario,
     TestConfig,
@@ -74,12 +76,30 @@ def test_tiny_alpha_never_rejects():
     assert report.rejection_frequency == 0.0
 
 
-def test_abort_when_every_replication_fails():
-    sc = tiny_scenario(block_rule=999)  # invalid for T = 24
+def test_abort_when_every_replication_fails(monkeypatch):
+    def degenerate(panel, cfg):
+        raise DegenerateSeriesError(0)
+
+    monkeypatch.setattr(mc, "run_test", degenerate)
+    sc = tiny_scenario()
     with pytest.raises(MonteCarloError) as err:
         rejection_frequency(sc, seed_base=7)
     assert err.value.label == "tiny"
     assert err.value.n_failed == sc.s
+    assert err.value.examples[:2] == [f"replication {r}: series 0: non-positive variance estimate"
+                                      for r in (0, 1)]
+
+
+def test_fixed_block_longer_than_series_is_rejected_when_built():
+    # every replication used to fail, ending in MonteCarloError
+    with pytest.raises(InvalidBlockLengthError, match="999 invalid for series length 24"):
+        tiny_scenario(block_rule=999)
+    assert tiny_scenario(block_rule=24).test.block_rule == 24
+
+
+def test_workers_below_one_is_an_error():
+    with pytest.raises(ValueError, match="workers"):
+        rejection_frequency(tiny_scenario(s=3), seed_base=5, workers=-3)
 
 
 def test_run_grid_order_and_duplicates():

@@ -1,5 +1,11 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from panelcpt import (
@@ -88,6 +94,26 @@ def test_csv_round_trip_bit_exact(tmp_path, layout):
     assert_array_equal(back.values, panel.values)
 
 
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, 2.2e-308, -0.0]),
+)
+
+
+@pytest.mark.parametrize("layout", ["columns", "rows"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_round_trip_property(layout, data):
+    n, t = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 8))
+    cells = data.draw(st.lists(_FINITE, min_size=n * t, max_size=n * t))
+    panel = Panel(np.array(cells).reshape(n, t))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        write_csv(panel, path, layout=layout)
+        back = load_csv(path, layout=layout)
+    assert back.values.tobytes() == panel.values.tobytes()
+
+
 def test_panel_validation():
     with pytest.raises(ValueError):
         Panel(np.array([[1.0]]))  # T = 1
@@ -107,6 +133,11 @@ def test_panel_is_immutable():
 
 def test_demean_constant_row():
     assert_array_equal(demean(np.array([[1.0, 1.0, 1.0, 1.0]])), np.zeros((1, 4)))
+    # near the float maximum the row sum overflows; the mean must not
+    for value in (1e307, -np.finfo(float).max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_array_equal(demean(np.full((2, 40), value)), np.zeros((2, 40)))
 
 
 def test_demean_hand_example():

@@ -345,3 +345,13 @@ def test_invariant_under_per_series_shift(stat, values, data):
     base = stat(Panel(values)).value
     got = stat(Panel(values + np.array(shifts)[:, None] * spread)).value
     assert_allclose(got, base, rtol=1e-9, atol=_atol(stat, n))
+
+
+@_PROPERTY_SETTINGS
+@given(values=panels(), seed=st.integers(0, 2**32 - 1))
+def test_j_invariant_under_cross_section_rotation(values, seed):
+    # demeaning and partial sums commute with Q, and |Q s_t| = |s_t|
+    n = values.shape[0]
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    base = j_statistic(Panel(values)).value
+    assert_allclose(j_statistic(Panel(q @ values)).value, base, rtol=1e-9)
