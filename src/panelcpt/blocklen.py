@@ -93,17 +93,14 @@ def autocovariances(demeaned: np.ndarray, max_lag: int) -> np.ndarray:
     -------
     ndarray of shape (..., max_lag + 1)
         Entry k is gamma_k = (1/T) * sum_t x_t x_{t+k}, the 1/T-normalized
-        sample autocovariance.
+        sample autocovariance. Each lag is one fused product-sum per row, so
+        no (..., T - k) product array is formed and a row's result does not
+        depend on its position in the stack.
     """
     t = demeaned.shape[-1]
     check_int("max_lag", max_lag, 0, t - 1)
-    out = np.empty(demeaned.shape[:-1] + (max_lag + 1,), dtype=np.float64)
-    for k in range(max_lag + 1):
-        if k == 0:
-            out[..., 0] = np.sum(demeaned * demeaned, axis=-1) / t
-        else:
-            out[..., k] = np.sum(demeaned[..., :-k] * demeaned[..., k:], axis=-1) / t
-    return out
+    return np.stack([np.einsum("...t,...t->...", demeaned[..., : t - k], demeaned[..., k:]) / t
+                     for k in range(max_lag + 1)], axis=-1)
 
 
 def pilot_bandwidth(n_time: int) -> int:

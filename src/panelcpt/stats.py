@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocklen
+from ._random import check_int
 from .errors import DegenerateSeriesError
 from .panel import Panel, demean
 
@@ -92,7 +93,7 @@ def bartlett_lrv(panel: Panel, bandwidth="auto") -> LrvEstimates:
     bandwidth : "auto", int, or sequence of int
         "auto" selects L_i per series by the adaptive block-length procedure
         applied to that series alone (requires T >= 4). An explicit bandwidth
-        must satisfy 1 <= L < T.
+        is an integer, or a sequence of one per series, with 1 <= L < T.
 
     Raises
     ------
@@ -118,9 +119,9 @@ def _lrv(d: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
         gamma = blocklen.autocovariances(d, blocklen.pilot_bandwidth(t) - 1)
         lengths = blocklen.select_lengths_from_autocov(gamma, t)
     else:
-        lengths = np.broadcast_to(np.asarray(bandwidth, dtype=np.int64), d.shape[:-1]).copy()
-        if np.any(lengths < 1) or np.any(lengths >= t):
-            raise ValueError(f"explicit bandwidth must satisfy 1 <= L < T={t}")
+        bw = np.asarray(bandwidth, dtype=object)
+        lengths = np.array([check_int("bandwidth", b, 1, t - 1) for b in bw.flat], dtype=np.int64)
+        lengths = np.broadcast_to(lengths.reshape(bw.shape), d.shape[:-1])
         gamma = None
     max_len = int(lengths.max())
     if gamma is None or max_len > gamma.shape[-1]:
@@ -150,11 +151,13 @@ def h_statistic(panel: Panel, lrv: LrvEstimates) -> StatisticValue:
 
 
 def _h_objective(d: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """H objective over t for stacked demeaned panels (..., N, T); sigma2 (..., N)."""
+    """H objective over t for stacked demeaned panels (..., N, T); sigma2 (..., N).
+    The partial sums are squared and divided by sigma2 in place."""
     t = d.shape[-1]
     n = d.shape[-2]
-    s = np.cumsum(d, axis=-1)[..., : t - 1]
-    scaled = np.sum(s * s / sigma2[..., :, None], axis=-2) / t
+    s = np.cumsum(d[..., : t - 1], axis=-1)
+    np.divide(np.square(s, out=s), sigma2[..., :, None], out=s)
+    scaled = np.sum(s, axis=-2) / t
     tt = np.arange(1, t, dtype=np.float64)
     null_mean = tt * (t - tt) / (t * t)
     return (scaled - n * null_mean) / np.sqrt(n)

@@ -9,6 +9,7 @@ from panelcpt import (
     DgpConfig,
     Panel,
     adaptive_block_length,
+    autocovariances,
     bartlett_lrv,
     lag_cov,
     simulate_panel,
@@ -62,6 +63,53 @@ def test_lag_cov_rejects_bad_l0():
         lag_cov(panel, l0=0)
     with pytest.raises(ValueError):
         lag_cov(panel, l0=5)
+
+
+# --- autocovariances ----------------------------------------------------------
+
+def _demeaned_stack(shape, seed):
+    d = np.random.default_rng(seed).standard_normal(shape)
+    return d - d.mean(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 4), (2, 3, 7), (3, 2, 64), (4, 3, 1000)])
+def test_autocovariances_match_per_row_dot(shape):
+    d = _demeaned_stack(shape, sum(shape))
+    t = shape[-1]
+    got = autocovariances(d, t - 1)
+    assert got.shape == shape[:-1] + (t,)
+    for r, i in np.ndindex(shape[:-1]):
+        x = d[r, i]
+        want = np.array([np.dot(x[: t - k], x[k:]) / t for k in range(t)])
+        # rounding error is relative to the sum of absolute products, which
+        # bounds it even where a high lag cancels to near zero
+        mag = np.array([np.dot(abs(x[: t - k]), abs(x[k:])) / t for k in range(t)])
+        assert np.all(abs(got[r, i] - want) <= 1e-13 * mag)
+    for max_lag in sorted({0, 1, math.ceil(math.sqrt(t)) - 1, t // 2, t - 1}):
+        assert_array_equal(autocovariances(d, max_lag), got[..., : max_lag + 1])
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 7), (3, 2, 64), (4, 3, 1000)])
+def test_autocovariances_do_not_depend_on_stack_position(shape):
+    # the bootstrap evaluates a stack, the observed statistic a stack of one;
+    # run_test's L = T replicate equals the observed value bit for bit only
+    # because a row's result does not depend on the rows around it
+    d = _demeaned_stack(shape, 7 * sum(shape))
+    t = shape[-1]
+    stacked = autocovariances(d, t - 1)
+    for r, i in np.ndindex(shape[:-1]):
+        alone = autocovariances(d[r, i].copy()[None, None], t - 1)
+        assert_array_equal(alone[0, 0], stacked[r, i])
+
+
+def test_autocovariances_reject_bad_max_lag():
+    d = _demeaned_stack((2, 5), 3)
+    with pytest.raises(ValueError):
+        autocovariances(d, 5)
+    with pytest.raises(ValueError):
+        autocovariances(d, -1)
+    with pytest.raises(TypeError):
+        autocovariances(d, 2.0)
 
 
 # --- adaptive selection ------------------------------------------------------

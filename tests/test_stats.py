@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,10 +180,24 @@ def test_bartlett_auto_matches_per_series_selection():
 
 def test_bartlett_rejects_bad_bandwidth():
     panel = Panel(np.random.default_rng(1).standard_normal((2, 10)))
-    with pytest.raises(ValueError):
-        bartlett_lrv(panel, bandwidth=0)
-    with pytest.raises(ValueError):
-        bartlett_lrv(panel, bandwidth=10)
+    for bad in (0, 10, [2, 10]):
+        with pytest.raises(ValueError, match="bandwidth"):
+            bartlett_lrv(panel, bandwidth=bad)
+    # a float or bool is rejected, never truncated
+    for bad in (2.5, 2.0, np.float64(3.0), True, [1.9, 3], [2, 3.0]):
+        with pytest.raises(TypeError, match="bandwidth"):
+            bartlett_lrv(panel, bandwidth=bad)
+        with pytest.raises(TypeError, match="bandwidth"):
+            HStatistic(bandwidth=bad)(panel)
+
+
+def test_bartlett_bandwidths_of_any_integer_type():
+    panel = Panel(np.random.default_rng(1).standard_normal((2, 30)))
+    want = bartlett_lrv(panel, bandwidth=[2, 3])
+    for bandwidth in ([np.int64(2), 3], np.array([2, 3]), (2, np.int32(3))):
+        got = bartlett_lrv(panel, bandwidth=bandwidth)
+        np.testing.assert_array_equal(got.bandwidth_used, [2, 3])
+        np.testing.assert_array_equal(got.sigma2, want.sigma2)
 
 
 # --- h statistic ----------------------------------------------------------
@@ -274,6 +290,22 @@ def test_batch_matches_scalar_path():
     hbatch = h.batch(np.ascontiguousarray(stack))
     for r in range(7):
         assert hbatch[r] == h(Panel(stack[r])).value
+
+
+@pytest.mark.parametrize("stat", [HStatistic(), JStatistic()], ids=["H", "J"])
+def test_batch_peak_memory_stays_within_bound(stat):
+    # each kernel keeps about two stack-sized arrays (demeaned data and
+    # partial sums); a per-lag product array or an out-of-place step in the
+    # objective adds a third
+    x = np.random.default_rng(17).standard_normal((16, 100, 1000))
+    stat.batch(x)
+    tracemalloc.start()
+    try:
+        stat.batch(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x.nbytes
 
 
 def test_h_auto_bandwidth_needs_t_at_least_four_on_both_paths():
