@@ -166,10 +166,11 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
                            ) -> BootstrapDistribution:
     """Bootstrap distribution of a statistic under joint block resampling.
 
-    The panel is row-demeaned once; replicate j then resamples it with
-    indices from ``rng.generator_for(j)``. Replicates are stacked in chunks
-    and evaluated by the statistic's batch kernel (which re-demeans each
-    resample). Results are identical for any ``workers``.
+    The panel is row-demeaned once; replicate j resamples it with indices
+    from ``rng.generator_for(j)`` into its slab of a C-ordered (R, N, T')
+    chunk. Chunks run on a pool of ``workers`` threads through the
+    statistic's batch kernel (which re-demeans each resample); each draw
+    equals its resample's statistic alone, bit for bit, for any ``workers``.
 
     Parameters
     ----------
@@ -199,25 +200,17 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
 
     def run_chunk(lo: int) -> None:
         hi = min(b, lo + _CHUNK)
-        idx = np.empty((hi - lo, t_prime), dtype=np.int64)
+        chunk = np.empty((hi - lo, panel.n_series, t_prime), dtype=np.float64)
         for j in range(lo, hi):
-            idx[j - lo] = resample_indices(scheme, t, rng.generator_for(j))
-        # contiguous copy so reductions run in the same order as on a single
-        # (1, N, T') stack, keeping draws bit-identical to a scalar call
-        stacked = np.ascontiguousarray(demeaned[:, idx].transpose(1, 0, 2))
+            chunk[j - lo] = demeaned[:, resample_indices(scheme, t, rng.generator_for(j))]
         try:
-            draws[lo:hi] = statistic.batch(stacked)
+            draws[lo:hi] = statistic.batch(chunk)
         except DegenerateSeriesError as exc:
             raise DegenerateSeriesError(exc.series, exc.detail, lo + exc.replicate) from None
 
-    chunk_starts = range(0, b, _CHUNK)
-    if workers == 1 or b <= _CHUNK:
-        for lo in chunk_starts:
-            run_chunk(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # materialize to surface worker exceptions
-            list(pool.map(run_chunk, chunk_starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # materialize to surface worker exceptions
+        list(pool.map(run_chunk, range(0, b, _CHUNK)))
     return BootstrapDistribution(draws)
 
 

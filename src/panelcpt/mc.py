@@ -8,6 +8,8 @@ draw and for the bootstrap, ``derive_seed(seed_base, r, 0)`` and
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import multiprocessing
 import time
@@ -170,11 +172,11 @@ def _coeff_field(value):
 
 
 def records_csv(records) -> str:
-    """Render grid records as CSV with the fixed column set."""
-    lines = [",".join(RECORD_FIELDS)]
-    for record in records:
-        lines.append(",".join(str(record[f]) for f in RECORD_FIELDS))
-    return "\n".join(lines) + "\n"
+    """Render grid records as CSV with the fixed column set, quoted as needed."""
+    buf = io.StringIO()
+    rows = ([str(record[f]) for f in RECORD_FIELDS] for record in records)
+    csv.writer(buf, lineterminator="\n").writerows([RECORD_FIELDS, *rows])
+    return buf.getvalue()
 
 
 def records_json(records) -> str:

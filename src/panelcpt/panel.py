@@ -96,7 +96,7 @@ def _parses_as_float(cell: str) -> bool:
 
 
 def load_csv(path: str | Path, layout: str = "columns") -> Panel:
-    """Read a panel from a comma-delimited UTF-8 file.
+    """Read a panel from a comma-delimited UTF-8 file, with or without a BOM.
 
     Parameters
     ----------
@@ -116,7 +116,7 @@ def load_csv(path: str | Path, layout: str = "columns") -> Panel:
     """
     if layout not in _LAYOUTS:
         raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = [line for line in text.splitlines() if line.strip() != ""]
     if lines and not _parses_as_float(lines[0].split(",")[0].strip()):
         lines = lines[1:]  # header line

@@ -68,10 +68,12 @@ def _best(objective: np.ndarray) -> StatisticValue:
 
 
 def _j_objective(values: np.ndarray) -> np.ndarray:
-    """Objective sum_i s[i, t]^2 / T over t, for stacked panels (..., N, T)."""
+    """Objective sum_i s[i, t]^2 / T over t, for stacked panels (..., N, T),
+    with the partial sums taken and squared in place in the demeaned copy."""
     t = values.shape[-1]
-    s = np.cumsum(demean(values), axis=-1)[..., : t - 1]
-    return np.sum(s * s, axis=-2) / t
+    d = demean(values)
+    s = np.cumsum(d, axis=-1, out=d)[..., : t - 1]
+    return np.sum(np.square(s, out=s), axis=-2) / t
 
 
 def j_statistic(panel: Panel) -> StatisticValue:
@@ -152,10 +154,10 @@ def h_statistic(panel: Panel, lrv: LrvEstimates) -> StatisticValue:
 
 def _h_objective(d: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     """H objective over t for stacked demeaned panels (..., N, T); sigma2 (..., N).
-    The partial sums are squared and divided by sigma2 in place."""
+    Overwrites d with its partial sums, squared and divided by sigma2."""
     t = d.shape[-1]
     n = d.shape[-2]
-    s = np.cumsum(d[..., : t - 1], axis=-1)
+    s = np.cumsum(d, axis=-1, out=d)[..., : t - 1]
     np.divide(np.square(s, out=s), sigma2[..., :, None], out=s)
     scaled = np.sum(s, axis=-2) / t
     tt = np.arange(1, t, dtype=np.float64)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,7 +17,8 @@ from panelcpt import (
     p_value,
     resample_indices,
 )
-from panelcpt.bootstrap import BootstrapDistribution, _stationary_indices
+from panelcpt.bootstrap import KINDS, BootstrapDistribution, _stationary_indices
+from panelcpt.panel import demean
 
 
 def test_scheme_validation():
@@ -163,6 +166,39 @@ def test_worker_count_does_not_change_draws():
     threaded = bootstrap_distribution(panel, JStatistic(), scheme, 300, RngSpec(8),
                                       workers=8)
     assert_array_equal(serial.draws, threaded.draws)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])
+@pytest.mark.parametrize("shape", [(6, 300), (40, 50)], ids=["6x300", "40x50"])
+def test_each_draw_is_its_resample_statistic_alone(shape, stat, kind, workers):
+    # b=70 is one full chunk and one partial one; every replicate must be
+    # evaluated in the memory order of a panel of its own, bit for bit
+    values = np.random.default_rng(37).standard_normal(shape)
+    scheme = BootstrapScheme(kind, 4)
+    rng = RngSpec(21)
+    draws = bootstrap_distribution(Panel(values), stat, scheme, 70, rng, workers=workers).draws
+    demeaned = demean(values)
+    for j in range(70):
+        idx = resample_indices(scheme, shape[1], rng.generator_for(j))
+        assert draws[j] == stat(Panel(demeaned[:, idx])).value
+
+
+@pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])
+def test_bootstrap_chunk_peak_memory(stat):
+    # a chunk of 64 replicates is gathered once into its (R, N, T') stack,
+    # and the kernel keeps one working array beside it
+    panel = Panel(np.random.default_rng(38).standard_normal((100, 1000)))
+    args = (panel, stat, BootstrapScheme("circular", 5), 64, RngSpec(9))
+    bootstrap_distribution(*args)
+    tracemalloc.start()
+    try:
+        bootstrap_distribution(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 64 * 100 * 1000 * 8
 
 
 def test_draws_match_naive_reimplementation():

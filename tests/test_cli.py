@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -77,6 +78,19 @@ def test_cmd_test_matches_library(panel_csv, tmp_path):
     assert record["changepoint_estimate"] == res.changepoint_estimate
     assert record["block_length"] == res.block_length_used
     assert record["reject"] is False  # verified once, then pinned
+
+
+def test_cmd_test_byte_order_mark_gives_same_report(panel_csv, tmp_path):
+    _, panel = panel_csv
+    rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in panel.values.T)
+    outs = []
+    for name, encoding in (("bare", "utf-8"), ("bom", "utf-8-sig")):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        path.write_text(rows, encoding=encoding)
+        assert run_cli(["test", "--input", str(path), "--b", "49", "--seed", "5",
+                        "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_cmd_test_block_zero_exits_2(panel_csv, capsys):
@@ -231,6 +245,18 @@ def test_bench_csv_output_and_determinism(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "one"
     assert lines[1].split(",")[-1] == "0.0"  # deterministic wall time field
+
+
+def test_bench_csv_quotes_labels_with_commas_and_quotes(tmp_path):
+    scn = tmp_path / "grid.scn"
+    scn.write_text('defaults s=2 b=9\nscenario label=a,b n=3 t=20\n'
+                   'scenario label=say"hi" n=3 t=20\n')
+    out = tmp_path / "bench.csv"
+    assert run_cli(["bench", "--scenarios", str(scn), "--seed", "3", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [15, 15, 15]
+    assert [row[0] for row in rows] == ["label", "a,b", 'say"hi"']
 
 
 def test_bench_json_output_and_overrides(tmp_path):

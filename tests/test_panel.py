@@ -45,6 +45,18 @@ def test_load_csv_detects_header(tmp_path):
     assert panel.n_time == 2
 
 
+def test_load_csv_ignores_byte_order_mark(tmp_path):
+    rows = "0.5,1\n1.5,2\n2.5,3\n3.5,4\n4.5,5\n"
+    bare, bom, headed = (tmp_path / f"{name}.csv" for name in ("bare", "bom", "headed"))
+    bare.write_text(rows, encoding="utf-8")
+    bom.write_text(rows, encoding="utf-8-sig")
+    headed.write_text("a,b\n" + rows, encoding="utf-8-sig")
+    want = load_csv(bare).values
+    assert want.shape == (2, 5)
+    assert_array_equal(load_csv(bom).values, want)
+    assert_array_equal(load_csv(headed).values, want)
+
+
 def test_load_csv_nan_cell_rejected(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("1,2\n3,nan\n")
