@@ -66,11 +66,12 @@ class BootstrapScheme:
             raise InvalidBlockLengthError(self.block_length) from None
         object.__setattr__(self, "block_length", length)
 
-    def checked_length(self, t: int) -> int:
-        """L, checked to fit a series of length t (InvalidBlockLengthError if L > t)."""
+    def resample_length(self, t: int) -> int:
+        """Length T' of a resample of a length-t series: floor(t/L) * L for
+        non-overlapping blocks, else t. InvalidBlockLengthError if L > t."""
         if self.block_length > t:
             raise InvalidBlockLengthError(self.block_length, t)
-        return self.block_length
+        return t - t % self.block_length if self.kind == "nonoverlapping" else t
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,9 @@ def resample_indices(scheme: BootstrapScheme, t: int,
         Blocks have independent geometric lengths with success probability
         1/L and uniform starts, wrap modulo T, truncated to T.
     """
-    length = scheme.checked_length(t)
+    t_prime, length = scheme.resample_length(t), scheme.block_length
     if scheme.kind == "nonoverlapping":
-        m = t // length
+        m = t_prime // length
         picks = rng.integers(0, m, size=m)
         return (picks[:, None] * length + np.arange(length)).ravel()
     if scheme.kind == "circular":
@@ -166,17 +167,18 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
                            ) -> BootstrapDistribution:
     """Bootstrap distribution of a statistic under joint block resampling.
 
-    The panel is row-demeaned once; replicate j resamples it with indices
-    from ``rng.generator_for(j)`` into its slab of a C-ordered (R, N, T')
-    chunk. Chunks run on a pool of ``workers`` threads through the
-    statistic's batch kernel (which re-demeans each resample); each draw
-    equals its resample's statistic alone, bit for bit, for any ``workers``.
+    ``statistic.basis(panel)`` (the panel, or for J with N > T its T x T factor) is
+    row-demeaned once; replicate j resamples it with indices from ``rng.generator_for(j)``
+    into its slab of a C-ordered (R, rows, T') chunk. Chunks run on a pool of ``workers``
+    threads through the statistic's batch kernel (which re-demeans each resample); each
+    draw equals its resample's statistic alone, bit for bit, for any ``workers``, and for J
+    the J of the same resample of the demeaned panel up to rounding, at cost O(B min(N, T) T').
 
     Parameters
     ----------
     panel : Panel
     statistic : JStatistic or HStatistic
-        Its ``batch(values)`` maps stacked resamples (R, N, T') to R values.
+        Its ``batch(values)`` maps stacked resamples (R, rows, T') to R values.
     scheme : BootstrapScheme
     b : int
         Number of replicates, an integer >= 1.
@@ -193,14 +195,13 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
     b = _random.check_int("b", b, 1)
     workers = _random.check_int("workers", workers, 1)
     t = panel.n_time
-    length = scheme.checked_length(t)
-    t_prime = (t // length) * length if scheme.kind == "nonoverlapping" else t
-    demeaned = demean(panel.values)
+    t_prime = scheme.resample_length(t)
+    demeaned = demean(statistic.basis(panel).values)
     draws = np.empty(b, dtype=np.float64)
 
     def run_chunk(lo: int) -> None:
         hi = min(b, lo + _CHUNK)
-        chunk = np.empty((hi - lo, panel.n_series, t_prime), dtype=np.float64)
+        chunk = np.empty((hi - lo, demeaned.shape[0], t_prime), dtype=np.float64)
         for j in range(lo, hi):
             chunk[j - lo] = demeaned[:, resample_indices(scheme, t, rng.generator_for(j))]
         try:

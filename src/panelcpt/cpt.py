@@ -125,7 +125,7 @@ def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
     """Run one bootstrap change-point test.
 
     Resolves the block length, computes the observed statistic on the
-    row-demeaned panel, draws the bootstrap distribution, and fills in the
+    row-demeaned ``basis`` of the panel, draws the bootstrap distribution, and fills in the
     quantile at 1 - alpha, the p-value, the decision (strict inequality
     against the critical value), and the change-point estimate. Data whose
     largest deviation from a series mean is positive but outside
@@ -135,20 +135,20 @@ def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
     """
     if cfg.seed is None:
         raise ValueError("TestConfig.seed must be set to run a test")
-    demeaned = demean(panel.values)
     # the selector squares autocovariances (data to the 4th power); past
     # these bounds it or the statistics under- or overflow
-    scale = abs(demeaned).max()
+    scale = abs(demean(panel.values)).max()
     if 0.0 < scale < 2.0**-250 or scale > 2.0**250:
         raise ValueError(f"data scale {scale:.3g} (largest deviation from a series "
                          "mean) is outside [2**-250, 2**250]; rescale the panel")
     selection = blocklen.adaptive_block_length(panel) if cfg.block_rule == "adaptive" else None
     scheme = BootstrapScheme(cfg.scheme, selection.l_adpt if selection else cfg.block_rule)
-    length = scheme.checked_length(panel.n_time)
+    t_prime = scheme.resample_length(panel.n_time)
     stat = STATISTICS[cfg.statistic]()
+    basis = stat.basis(panel)  # its own basis, so the bootstrap does not reduce it again
     # demean as the bootstrap does, so its L = T replicate equals this value bit for bit
-    observed = stat(Panel(demeaned))
-    dist = bootstrap_distribution(panel, stat, scheme, cfg.b, RngSpec(cfg.seed),
+    observed = stat(Panel(demean(basis.values)))
+    dist = bootstrap_distribution(basis, stat, scheme, cfg.b, RngSpec(cfg.seed),
                                   workers=workers)
     critical = empirical_quantile(dist, 1.0 - cfg.alpha)
     pv = p_value(dist, observed.value)
@@ -162,6 +162,9 @@ def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
         "seed": cfg.seed,
         "block_selection_fallback": bool(selection.fallback) if selection else None,
         "block_selection_raw": float(selection.raw) if selection else None,
+        "l0": selection.l0 if selection else None,
+        "t_prime": t_prime,
+        "bootstrap_rows": basis.n_series,
     }
     return TestResult(
         statistic_value=observed.value,
@@ -169,6 +172,6 @@ def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
         critical_value=critical,
         reject=bool(observed.value > critical),
         changepoint_estimate=observed.argmax_t,
-        block_length_used=length,
+        block_length_used=scheme.block_length,
         diagnostics=diagnostics,
     )

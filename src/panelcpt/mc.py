@@ -52,7 +52,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "s", check_int("s", self.s, 1))
         if self.test.block_rule != "adaptive":
-            BootstrapScheme(self.test.scheme, self.test.block_rule).checked_length(self.dgp.t)
+            BootstrapScheme(self.test.scheme, self.test.block_rule).resample_length(self.dgp.t)
 
 
 @dataclass(frozen=True)

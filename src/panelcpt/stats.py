@@ -178,6 +178,28 @@ class JStatistic:
     def __call__(self, panel: Panel) -> StatisticValue:
         return j_statistic(panel)
 
+    def basis(self, panel: Panel) -> Panel:
+        """The panel the bootstrap resamples: for N > T, the upper-triangular R (T, T)
+        with R'R = X'X of the demeaned panel X, so J of each resample of R is J of the
+        same resample of X up to rounding. Householder reflections summed in einsum,
+        not BLAS, keep its bits independent of the BLAS build; columns scaled to a
+        largest entry of 1 keep every sum of squares from under- or overflowing."""
+        if panel.n_series <= panel.n_time:
+            return panel
+        a = demean(panel.values).T.copy()  # row k is column k of X
+        r = np.zeros((len(a), len(a)))
+        for k in range(len(a)):
+            scale = np.max(np.abs(a[k, k:]))
+            if scale > 0.0:
+                v = a[k, k:] / scale
+                norm = np.copysign(np.sqrt(np.einsum("i,i->", v, v)), v[0])
+                r[k, k] = -norm * scale
+                v[0] += norm  # so that v'v = 2 * norm * v[0]
+                rest = a[k + 1:, k:]
+                rest -= np.multiply.outer(np.einsum("ij,j->i", rest, v) / (norm * v[0]), v)
+            r[k, k + 1:] = a[k + 1:, k]
+        return Panel(r)
+
     def batch(self, values: np.ndarray) -> np.ndarray:
         return np.max(_j_objective(values), axis=-1)
 
@@ -199,6 +221,10 @@ class HStatistic:
 
     def __init__(self, bandwidth="auto"):
         self.bandwidth = bandwidth
+
+    def basis(self, panel: Panel) -> Panel:
+        """The panel itself: per-series studentization is not rotation-invariant."""
+        return panel
 
     def __call__(self, panel: Panel) -> StatisticValue:
         try:

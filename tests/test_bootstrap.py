@@ -14,6 +14,7 @@ from panelcpt import (
     RngSpec,
     bootstrap_distribution,
     empirical_quantile,
+    j_statistic,
     p_value,
     resample_indices,
 )
@@ -171,18 +172,37 @@ def test_worker_count_does_not_change_draws():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])
-@pytest.mark.parametrize("shape", [(6, 300), (40, 50)], ids=["6x300", "40x50"])
+@pytest.mark.parametrize("shape", [(6, 300), (40, 50), (80, 30)], ids=["6x300", "40x50", "80x30"])
 def test_each_draw_is_its_resample_statistic_alone(shape, stat, kind, workers):
     # b=70 is one full chunk and one partial one; every replicate must be
-    # evaluated in the memory order of a panel of its own, bit for bit
+    # evaluated in the memory order of a panel of its own, bit for bit, on
+    # the statistic's basis (J's T x T factor when N > T)
     values = np.random.default_rng(37).standard_normal(shape)
     scheme = BootstrapScheme(kind, 4)
     rng = RngSpec(21)
     draws = bootstrap_distribution(Panel(values), stat, scheme, 70, rng, workers=workers).draws
-    demeaned = demean(values)
+    demeaned = demean(stat.basis(Panel(values)).values)
+    assert demeaned.shape[0] == (min(shape) if stat.name == "J" else shape[0])
     for j in range(70):
         idx = resample_indices(scheme, shape[1], rng.generator_for(j))
         assert draws[j] == stat(Panel(demeaned[:, idx])).value
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", [(61, 60), (100, 50), (200, 100), (2000, 60)],
+                         ids=["61x60", "100x50", "200x100", "2000x60"])
+def test_j_draws_on_the_factor_equal_draws_on_the_panel(shape, kind):
+    # J of a resample of R is J of the same resample of the demeaned panel X,
+    # since R'R = X'X; only rounding separates them
+    values = np.random.default_rng(39).standard_normal(shape)
+    scheme = BootstrapScheme(kind, 3)
+    rng = RngSpec(22)
+    draws = bootstrap_distribution(Panel(values), JStatistic(), scheme, 70, rng).draws
+    demeaned = demean(values)
+    for j in range(70):
+        idx = resample_indices(scheme, shape[1], rng.generator_for(j))
+        want = j_statistic(Panel(demeaned[:, idx])).value
+        assert abs(draws[j] - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])
@@ -199,6 +219,21 @@ def test_bootstrap_chunk_peak_memory(stat):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 64 * 100 * 1000 * 8
+
+
+def test_wide_j_chunk_peak_memory():
+    # J resamples the 60 x 60 factor of a 2000 x 60 panel, so a warm chunk of
+    # 64 replicates stays far below the 61 MB of 64 panel-sized resamples
+    panel = Panel(np.random.default_rng(40).standard_normal((2000, 60)))
+    args = (panel, JStatistic(), BootstrapScheme("nonoverlapping", 3), 64, RngSpec(9))
+    bootstrap_distribution(*args)
+    tracemalloc.start()
+    try:
+        bootstrap_distribution(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2000 * 60 * 8 / 10
 
 
 def test_draws_match_naive_reimplementation():

@@ -9,6 +9,7 @@ from panelcpt import (
     DgpConfig,
     HStatistic,
     InvalidBlockLengthError,
+    JStatistic,
     Panel,
     RngSpec,
     Scenario,
@@ -94,12 +95,15 @@ def test_constant_panel_near_float_max_takes_constant_path(value, n):
 
 
 def test_single_block_degeneracy():
-    panel = noise_panel(1, 4, 24)
-    for b in (1, 19, 100):
-        result = run_test(panel, TestConfig(block_rule=24, b=b, seed=9))
-        assert result.p_value == 1.0
-        assert result.reject is False
-        assert result.critical_value == result.statistic_value
+    # for J with N > T the observed value is taken on the same T x T factor
+    # the bootstrap resamples, so the L = T replicate still equals it exactly
+    for statistic, n in [("J", 4), ("J", 30), ("H", 30)]:
+        panel = noise_panel(1, n, 24)
+        for b in (1, 19, 100):
+            result = run_test(panel, TestConfig(statistic=statistic, block_rule=24, b=b, seed=9))
+            assert result.p_value == 1.0
+            assert result.reject is False
+            assert result.critical_value == result.statistic_value
 
 
 def test_b_equal_one_p_value_values():
@@ -232,6 +236,38 @@ def test_diagnostics_contents():
     assert d["alpha_effective"] == effective_level(0.05, 99)
     assert d["block_selection_fallback"] is False
     assert res.block_length_used >= 1
+    assert d["l0"] == 6  # ceil(sqrt(32))
+    assert d["t_prime"] == 32 - 32 % res.block_length_used
+    assert d["bootstrap_rows"] == 3
+    wide = noise_panel(11, 40, 30)
+    for statistic, scheme, rows in [("J", "circular", 30), ("H", "nonoverlapping", 40)]:
+        d = run_test(wide, TestConfig(statistic=statistic, scheme=scheme, block_rule=4,
+                                      b=19, seed=5)).diagnostics
+        assert d["l0"] is None
+        assert d["t_prime"] == (30 if scheme == "circular" else 28)
+        assert d["bootstrap_rows"] == rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block_rule", ["adaptive", 3])
+@pytest.mark.parametrize("scheme", ["nonoverlapping", "circular", "stationary"])
+@pytest.mark.parametrize("shape", [(61, 60), (100, 50), (200, 100), (2000, 60)],
+                         ids=["61x60", "100x50", "200x100", "2000x60"])
+def test_j_on_the_factor_decides_as_on_the_panel(shape, scheme, block_rule, workers,
+                                                 monkeypatch):
+    # the same test with J's bootstrap basis switched back to the panel itself
+    n, t = shape
+    panel = simulate_panel(DgpConfig(n=n, t=t, rho=0.3, beta=0.5, error_law="t5",
+                                     break_spec="cancelling", seed=n + t))
+    cfg = TestConfig(statistic="J", scheme=scheme, block_rule=block_rule, b=99, seed=17)
+    got = run_test(panel, cfg, workers=workers)
+    monkeypatch.setattr(JStatistic, "basis", lambda self, panel: panel)
+    want = run_test(panel, cfg, workers=workers)
+    assert got.diagnostics["bootstrap_rows"] == t and want.diagnostics["bootstrap_rows"] == n
+    assert (got.p_value, got.reject, got.changepoint_estimate, got.block_length_used) == \
+        (want.p_value, want.reject, want.changepoint_estimate, want.block_length_used)
+    assert abs(got.critical_value - want.critical_value) <= 1e-12 * want.critical_value
+    assert abs(got.statistic_value - want.statistic_value) <= 1e-12 * want.statistic_value
 
 
 # --- change-point estimation -------------------------------------------------

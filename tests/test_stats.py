@@ -387,3 +387,66 @@ def test_j_invariant_under_cross_section_rotation(values, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     base = j_statistic(Panel(values)).value
     assert_allclose(j_statistic(Panel(q @ values)).value, base, rtol=1e-9)
+
+
+# --- J's bootstrap basis: the triangular factor of a wide panel --------------
+
+def _factor_of(values):
+    r = JStatistic().basis(Panel(values)).values
+    t = values.shape[1]
+    assert r.shape == (t, t)
+    assert np.all(np.tril(r, -1) == 0.0)
+    return r
+
+
+def _gram_error(r, x):
+    # relative to ||X||^2, the scale of X'X's entries
+    return np.max(np.abs(r.T @ r - x.T @ x)) / np.linalg.norm(x, 2) ** 2
+
+
+@pytest.mark.parametrize("shape", [(31, 30), (61, 60), (100, 50), (2000, 60)],
+                         ids=["N=T+1", "61x60", "100x50", "2000x60"])
+def test_j_basis_is_triangular_factor_of_demeaned_panel(shape):
+    values = np.random.default_rng(41).standard_normal(shape) + 5.0
+    x = values - values.mean(axis=1, keepdims=True)
+    assert _gram_error(_factor_of(values), x) <= 1e-12
+
+
+def test_j_basis_keeps_panels_with_n_at_most_t():
+    for shape in [(30, 30), (3, 40)]:
+        panel = Panel(np.random.default_rng(42).standard_normal(shape))
+        assert JStatistic().basis(panel) is panel
+        assert HStatistic().basis(panel) is panel
+    wide = Panel(np.random.default_rng(42).standard_normal((80, 30)))
+    assert HStatistic().basis(wide) is wide
+
+
+def test_j_basis_of_rank_deficient_panel():
+    # duplicated series: X'X has rank at most 20 of 30
+    half = np.random.default_rng(43).standard_normal((20, 30))
+    values = np.vstack([half, half, 2.0 * half])
+    x = values - values.mean(axis=1, keepdims=True)
+    assert _gram_error(_factor_of(values), x) <= 1e-12
+
+
+def test_j_basis_of_constant_panel_is_zero():
+    values = np.tile(np.arange(40.0)[:, None], (1, 30))  # every series constant
+    r = _factor_of(values)
+    assert np.all(r == 0.0)
+    assert j_statistic(Panel(r)).value == 0.0
+
+
+@pytest.mark.parametrize("scale", [2.0**250, 2.0**-250])
+def test_j_basis_at_the_scale_limits(scale):
+    # each column is scaled to a largest entry of 1 before its sum of squares;
+    # an under- or overflow would be a RuntimeWarning, an error under pytest
+    x = np.random.default_rng(44).standard_normal((80, 30))
+    x -= x.mean(axis=1, keepdims=True)
+    x *= scale / np.max(np.abs(x))
+    r = _factor_of(x)
+    assert np.all(np.isfinite(r))
+    assert _gram_error(r / scale, x / scale) <= 1e-12
+    # a time point far below the rest still comes out finite and consistent
+    x[:, 3] *= 2.0**-400
+    x -= x.mean(axis=1, keepdims=True)
+    assert _gram_error(_factor_of(x) / scale, x / scale) <= 1e-12
