@@ -36,9 +36,13 @@ __all__ = [
 
 KINDS = ("nonoverlapping", "circular", "stationary")
 
-# Replicates are evaluated in fixed-size chunks so the vectorized statistic
-# sees identical array shapes regardless of worker count.
-_CHUNK = 64
+# A chunk holds at most _CHUNK replicates and _CHUNK_BYTES bytes, so a long
+# panel's chunk stays in cache; its size depends only on (rows, T').
+_CHUNK, _CHUNK_BYTES = 64, 1 << 24
+
+
+def _chunk_size(rows: int, t_prime: int) -> int:
+    return min(_CHUNK, max(1, _CHUNK_BYTES // (rows * t_prime * 8)))
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
         Number of replicates, an integer >= 1.
     rng : RngSpec
     workers : int
-        Thread count >= 1; chunking is fixed so results do not depend on it.
+        Thread count >= 1; chunks depend only on (rows, T'), so results do not.
 
     Raises
     ------
@@ -198,9 +202,10 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
     t_prime = scheme.resample_length(t)
     demeaned = demean(statistic.basis(panel).values)
     draws = np.empty(b, dtype=np.float64)
+    size = _chunk_size(demeaned.shape[0], t_prime)
 
     def run_chunk(lo: int) -> None:
-        hi = min(b, lo + _CHUNK)
+        hi = min(b, lo + size)
         chunk = np.empty((hi - lo, demeaned.shape[0], t_prime), dtype=np.float64)
         for j in range(lo, hi):
             chunk[j - lo] = demeaned[:, resample_indices(scheme, t, rng.generator_for(j))]
@@ -211,7 +216,7 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # materialize to surface worker exceptions
-        list(pool.map(run_chunk, range(0, b, _CHUNK)))
+        list(pool.map(run_chunk, range(0, b, size)))
     return BootstrapDistribution(draws)
 
 

@@ -18,7 +18,7 @@ from panelcpt import (
     p_value,
     resample_indices,
 )
-from panelcpt.bootstrap import KINDS, BootstrapDistribution, _stationary_indices
+from panelcpt.bootstrap import KINDS, BootstrapDistribution, _chunk_size, _stationary_indices
 from panelcpt.panel import demean
 
 
@@ -169,14 +169,23 @@ def test_worker_count_does_not_change_draws():
     assert_array_equal(serial.draws, threaded.draws)
 
 
+# the 100 x 1000 case is the only one where the 16 MiB chunk cap binds
+_DRAW_CASES = [
+    pytest.param(shape, stat, kind, id=f"{shape[0]}x{shape[1]}-{stat.name}-{kind}")
+    for shape, kinds in [((6, 300), KINDS), ((40, 50), KINDS), ((80, 30), KINDS),
+                         ((100, 1000), ("circular",))]
+    for stat in (JStatistic(), HStatistic())
+    for kind in kinds
+]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])
-@pytest.mark.parametrize("shape", [(6, 300), (40, 50), (80, 30)], ids=["6x300", "40x50", "80x30"])
+@pytest.mark.parametrize("shape,stat,kind", _DRAW_CASES)
 def test_each_draw_is_its_resample_statistic_alone(shape, stat, kind, workers):
-    # b=70 is one full chunk and one partial one; every replicate must be
-    # evaluated in the memory order of a panel of its own, bit for bit, on
-    # the statistic's basis (J's T x T factor when N > T)
+    # b=70 is one full chunk and one partial one (three chunks of 20 and one
+    # of 10 at 100 x 1000); every replicate must be evaluated in the memory
+    # order of a panel of its own, bit for bit, on the statistic's basis
+    # (J's T x T factor when N > T)
     values = np.random.default_rng(37).standard_normal(shape)
     scheme = BootstrapScheme(kind, 4)
     rng = RngSpec(21)
@@ -205,10 +214,47 @@ def test_j_draws_on_the_factor_equal_draws_on_the_panel(shape, kind):
         assert abs(draws[j] - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("shape,size", [
+    ((50, 50), 64), ((50, 100), 64), ((100, 50), 64),
+    ((100, 100), 64), ((200, 100), 64), ((100, 1000), 20),
+], ids=["50x50", "50x100", "100x50", "100x100", "200x100", "100x1000"])
+def test_chunk_plan_of_the_grid_shapes(shape, size):
+    # every T <= 100 grid shape runs chunks of 64 replicates, the ceiling;
+    # only 100 x 1000 is capped at 16 MiB (J resamples min(N, T) rows, H all N)
+    n, t = shape
+    for t_prime in (t, t - t % 3):
+        assert _chunk_size(min(n, t), t_prime) == size
+        assert _chunk_size(n, t_prime) == size
+
+
+def test_bootstrap_runs_the_chunk_plan():
+    shapes = []
+
+    class Recorder:
+        def basis(self, panel):
+            return panel
+
+        def batch(self, values):
+            shapes.append(values.shape)
+            return np.zeros(values.shape[0])
+
+    panel = Panel(np.random.default_rng(41).standard_normal((100, 1000)))
+    bootstrap_distribution(panel, Recorder(), BootstrapScheme("circular", 5), 45, RngSpec(9))
+    assert shapes == [(20, 100, 1000), (20, 100, 1000), (5, 100, 1000)]
+
+
+@pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])
+def test_capped_chunks_do_not_depend_on_workers(stat):
+    panel = Panel(np.random.default_rng(42).standard_normal((100, 1000)))
+    args = (panel, stat, BootstrapScheme("stationary", 6), 70, RngSpec(10))
+    serial = bootstrap_distribution(*args, workers=1).draws
+    assert_array_equal(serial, bootstrap_distribution(*args, workers=2).draws)
+
+
 @pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])
 def test_bootstrap_chunk_peak_memory(stat):
-    # a chunk of 64 replicates is gathered once into its (R, N, T') stack,
-    # and the kernel keeps one working array beside it
+    # a 100 x 1000 chunk is capped at 20 replicates (16 MiB), gathered once
+    # into its (R, N, T') stack, and the kernel keeps one working array beside it
     panel = Panel(np.random.default_rng(38).standard_normal((100, 1000)))
     args = (panel, stat, BootstrapScheme("circular", 5), 64, RngSpec(9))
     bootstrap_distribution(*args)
@@ -218,7 +264,7 @@ def test_bootstrap_chunk_peak_memory(stat):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 64 * 100 * 1000 * 8
+    assert peak <= 2.5 * 2**24
 
 
 def test_wide_j_chunk_peak_memory():
