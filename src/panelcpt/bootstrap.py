@@ -173,10 +173,12 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
 
     ``statistic.basis(panel)`` (the panel, or for J with N > T its T x T factor) is
     row-demeaned once; replicate j resamples it with indices from ``rng.generator_for(j)``
-    into its slab of a C-ordered (R, rows, T') chunk. Chunks run on a pool of ``workers``
-    threads through the statistic's batch kernel (which re-demeans each resample); each
-    draw equals its resample's statistic alone, bit for bit, for any ``workers``, and for J
-    the J of the same resample of the demeaned panel up to rounding, at cost O(B min(N, T) T').
+    into its slab of a C-ordered (R, rows, T') chunk. Chunks run in the calling thread at
+    ``workers=1``, otherwise in ``workers`` contiguous parts on a thread pool; each thread
+    refills one chunk buffer and hands it to the statistic's batch kernel (which
+    re-demeans each resample). Each draw equals its resample's statistic alone, bit for
+    bit, for any ``workers``, and for J the J of the same resample of the demeaned panel
+    up to rounding, at cost O(B min(N, T) T').
 
     Parameters
     ----------
@@ -204,19 +206,31 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
     draws = np.empty(b, dtype=np.float64)
     size = _chunk_size(demeaned.shape[0], t_prime)
 
-    def run_chunk(lo: int) -> None:
-        hi = min(b, lo + size)
-        chunk = np.empty((hi - lo, demeaned.shape[0], t_prime), dtype=np.float64)
-        for j in range(lo, hi):
-            chunk[j - lo] = demeaned[:, resample_indices(scheme, t, rng.generator_for(j))]
-        try:
-            draws[lo:hi] = statistic.batch(chunk)
-        except DegenerateSeriesError as exc:
-            raise DegenerateSeriesError(exc.series, exc.detail, lo + exc.replicate) from None
+    starts = range(0, b, size)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # materialize to surface worker exceptions
-        list(pool.map(run_chunk, range(0, b, size)))
+    def run_chunks(part: range) -> None:
+        # one chunk buffer per thread, refilled for each of its chunks
+        buf = np.empty((min(b, size), demeaned.shape[0], t_prime), dtype=np.float64)
+        for lo in part:
+            hi = min(b, lo + size)
+            chunk = buf[:hi - lo]
+            for j in range(lo, hi):
+                chunk[j - lo] = demeaned[:, resample_indices(scheme, t, rng.generator_for(j))]
+            try:
+                draws[lo:hi] = statistic.batch(chunk)
+            except DegenerateSeriesError as exc:
+                raise DegenerateSeriesError(exc.series, exc.detail, lo + exc.replicate) from None
+
+    if workers == 1:
+        # In the calling thread: a fresh pool thread per call may get a fresh
+        # malloc arena, whose retained blocks made peak memory vary run to run.
+        run_chunks(starts)
+    else:
+        per = -(-len(starts) // workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # contiguous parts in order, so the first error raised is the first
+            # failing replicate's; materialize to surface worker exceptions
+            list(pool.map(run_chunks, [starts[i:i + per] for i in range(0, len(starts), per)]))
     return BootstrapDistribution(draws)
 
 

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,26 @@ def test_bootstrap_runs_the_chunk_plan():
     panel = Panel(np.random.default_rng(41).standard_normal((100, 1000)))
     bootstrap_distribution(panel, Recorder(), BootstrapScheme("circular", 5), 45, RngSpec(9))
     assert shapes == [(20, 100, 1000), (20, 100, 1000), (5, 100, 1000)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_worker_runs_chunks_in_the_calling_thread(workers):
+    # a pool thread per call can land in a fresh malloc arena, so peak memory
+    # of a serial run would vary from one run to the next
+    threads = set()
+
+    class Recorder:
+        def basis(self, panel):
+            return panel
+
+        def batch(self, values):
+            threads.add(threading.get_ident())
+            return np.zeros(values.shape[0])
+
+    panel = Panel(np.random.default_rng(43).standard_normal((3, 50)))
+    bootstrap_distribution(panel, Recorder(), BootstrapScheme("circular", 5), 200, RngSpec(9),
+                           workers=workers)
+    assert (threads == {threading.get_ident()}) == (workers == 1)
 
 
 @pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])
