@@ -143,27 +143,19 @@ def resample_indices(scheme: BootstrapScheme, t: int,
 
 
 def _stationary_indices(t: int, length: int, rng: np.random.Generator) -> np.ndarray:
-    p = 1.0 / length
-    starts: list[np.ndarray] = []
-    lengths: list[np.ndarray] = []
-    total = 0
+    """Batches of max(8, ceil(T/L)) blocks (starts, then lengths), expanded as drawn."""
     batch = max(8, -(-t // length))
+    parts, total = [], 0
     while total < t:
-        s = rng.integers(0, t, size=batch)
-        if length == 1:
-            ln = np.ones(batch, dtype=np.int64)
-        else:
+        starts = rng.integers(0, t, size=batch)
+        lengths = np.ones(batch, dtype=np.int64)
+        if length > 1:
             u = _random.uniform_open(rng, batch)
-            ln = np.ceil(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
-        starts.append(s)
-        lengths.append(ln)
-        total += int(ln.sum())
-    s = np.concatenate(starts)
-    ln = np.concatenate(lengths)
-    keep = int(np.searchsorted(np.cumsum(ln), t, side="left")) + 1
-    s, ln = s[:keep], ln[:keep]
-    offsets = np.arange(int(ln.sum())) - np.repeat(np.cumsum(ln) - ln, ln)
-    return ((np.repeat(s, ln) + offsets) % t)[:t]
+            lengths = np.ceil(np.log1p(-u) / math.log1p(-1.0 / length)).astype(np.int64)
+        ends = np.cumsum(lengths)
+        parts.append((np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])) % t)
+        total += int(ends[-1])
+    return np.concatenate(parts)[:t]
 
 
 def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,

@@ -106,8 +106,9 @@ def _coefficient(name: str, value, n: int):
 
 
 def resolve_break_time(t0_fraction: float, t: int) -> int:
-    """Break index t0 = floor(t0_fraction * T); the mean shifts after t0."""
-    return int(math.floor(t0_fraction * t))
+    """Break index t0 = floor(t0_fraction * T), guarded against rounding; the mean
+    shifts after t0."""
+    return math.floor(round(t0_fraction * t, 9))
 
 
 def draw_deltas(spec: str, n: int, rng: np.random.Generator) -> np.ndarray:

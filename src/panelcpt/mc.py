@@ -126,12 +126,11 @@ def rejection_frequency(scenario: Scenario, seed_base: int,
         lengths.append(length)
     if len(errors) * 100 > scenario.s:
         raise MonteCarloError(scenario.label, len(errors), scenario.s, errors)
-    done = len(lengths)
     return MonteCarloReport(
         label=scenario.label,
-        rejection_frequency=rejects / done if done else 0.0,
-        s=done,
-        mean_block_length=float(np.mean(lengths)) if lengths else float("nan"),
+        rejection_frequency=rejects / len(lengths),
+        s=len(lengths),
+        mean_block_length=float(np.mean(lengths)),
         wall_time_s=time.perf_counter() - tic,
         seed_base=int(seed_base),
         errors=tuple(errors),

@@ -9,9 +9,9 @@ and take a maximum over t. ``j_statistic`` aggregates s[i, t]^2 / T across
 series; ``h_statistic`` additionally studentizes each series by its Bartlett
 long-run variance and recenters by the null mean t(T-t)/T^2.
 
-Each statistic has one kernel, an objective over t for a stack of panels
-(R, N, T). Bootstrap chunks evaluate it on the whole stack; a single panel
-is a stack of one, followed by the argmax.
+Each statistic has one kernel, an objective over t for panels (..., N, T). Bootstrap
+chunks run it on stacks of resamples (R, N, T); the observed statistic runs it on the
+panel itself; every reduction is per row or per replicate, so both round the same way.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class LrvEstimates:
 
 
 def _best(objective: np.ndarray) -> StatisticValue:
-    """Maximum and 1-based argmax of the objective of a stack of one panel."""
-    arg = int(np.argmax(objective[0]))
-    return StatisticValue(value=float(objective[0, arg]), argmax_t=arg + 1)
+    """Maximum and 1-based argmax of the objective over t of the panel itself."""
+    arg = int(np.argmax(objective))
+    return StatisticValue(value=float(objective[arg]), argmax_t=arg + 1)
 
 
 def _j_objective(values: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ def _j_objective(values: np.ndarray) -> np.ndarray:
 
 def j_statistic(panel: Panel) -> StatisticValue:
     """Unstudentized CUSUM statistic: max_t sum_i s[i, t]^2 / T."""
-    return _best(_j_objective(panel.values[None]))
+    return _best(_j_objective(panel.values))
 
 
 def bartlett_lrv(panel: Panel, bandwidth="auto") -> LrvEstimates:
@@ -110,7 +110,8 @@ def _lrv(d: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
     """Bartlett LRV and bandwidths for stacked demeaned series d (..., N, T).
 
     "auto" bandwidths come from pilot autocovariances, which the Bartlett
-    sum reuses; lags are computed again only past the pilot bandwidth.
+    sum reuses; if any bandwidth exceeds the pilot's, all lags up to the
+    largest bandwidth are computed again for the whole stack.
     Raises DegenerateSeriesError for the first non-positive estimate, with
     the stack position of its panel as ``replicate`` when d is a stack.
     """
@@ -148,8 +149,8 @@ def h_statistic(panel: Panel, lrv: LrvEstimates) -> StatisticValue:
     if sigma2.shape != (panel.n_series,):
         raise ValueError("lrv.sigma2 must have one entry per series")
     if np.any(sigma2 <= 0.0):
-        raise DegenerateSeriesError(int(np.flatnonzero(sigma2 <= 0.0)[0]))
-    return _best(_h_objective(demean(panel.values[None]), sigma2[None]))
+        raise DegenerateSeriesError(int(np.argmax(sigma2 <= 0.0)))
+    return _best(_h_objective(demean(panel.values), sigma2))
 
 
 def _h_objective(d: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -227,10 +228,7 @@ class HStatistic:
         return panel
 
     def __call__(self, panel: Panel) -> StatisticValue:
-        try:
-            return _best(self._objective(panel.values[None]))
-        except DegenerateSeriesError as exc:  # a single panel is no replicate
-            raise DegenerateSeriesError(exc.series, exc.detail) from None
+        return _best(self._objective(panel.values))
 
     def batch(self, values: np.ndarray) -> np.ndarray:
         return np.max(self._objective(values), axis=-1)

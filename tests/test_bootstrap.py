@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -19,6 +20,7 @@ from panelcpt import (
     p_value,
     resample_indices,
 )
+from panelcpt._random import generator, uniform_open
 from panelcpt.bootstrap import KINDS, BootstrapDistribution, _chunk_size, _stationary_indices
 from panelcpt.panel import demean
 
@@ -117,6 +119,49 @@ def test_stationary_mean_block_length():
         total_blocks += breaks.size + 1
         total_length += idx.size
     assert abs(total_length / total_blocks - 4.0) < 0.1
+
+
+def _reference_indices(kind, t, length, rng):
+    """Plain-Python draw order of each scheme: (indices, batches drawn)."""
+    if kind == "nonoverlapping":
+        m = t // length
+        picks = rng.integers(0, m, size=m)
+        return [int(p) * length + k for p in picks for k in range(length)], 1
+    if kind == "circular":
+        starts = rng.integers(0, t, size=-(-t // length))
+        return [(int(s) + k) % t for s in starts for k in range(length)][:t], 1
+    # stationary: per batch, the starts, then (for L > 1) the geometric
+    # lengths; the blocks are walked in order until T indices exist
+    batch = max(8, -(-t // length))
+    out, batches = [], 0
+    while len(out) < t:
+        batches += 1
+        starts = rng.integers(0, t, size=batch)
+        lengths = [1] * batch
+        if length > 1:
+            u = uniform_open(rng, batch)
+            lengths = np.ceil(np.log1p(-u) / math.log1p(-1.0 / length)).astype(int)
+        for s, ln in zip(starts, lengths):
+            out.extend((int(s) + k) % t for k in range(int(ln)))
+    return out[:t], batches
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_indices_follow_the_reference_draw_order(kind):
+    cases = [(t, length) for t in (4, 5, 13, 50, 100, 1000) for length in (1, 2, 3, 5, 17)
+             if length <= t]
+    cases += [(4, 3), (4, 4), (5, 3), (13, 7), (13, 13), (50, 26), (50, 40), (100, 99)]
+    runs = [(t, length, seed) for t, length in cases for seed in range(12)]
+    # seeds whose stationary draw needs three batches of blocks
+    runs += [(50, 5, 2786), (24, 3, 1186), (100, 17, 829)]
+    batches = []
+    for t, length, seed in runs:
+        want, used = _reference_indices(kind, t, length, generator(seed, t, length))
+        got = resample_indices(BootstrapScheme(kind, length), t, generator(seed, t, length))
+        assert got.tolist() == want, (t, length, seed)
+        batches.append(used)
+    if kind == "stationary":
+        assert batches[-3:] == [3, 3, 3] and batches.count(2) >= 20
 
 
 def test_invalid_block_length_raises():

@@ -100,6 +100,15 @@ def test_resolve_break_time_floors():
     assert resolve_break_time(0.5, 100) == 50
 
 
+@pytest.mark.parametrize("fraction, t, t0", [
+    (0.29, 100, 29), (0.58, 50, 29), (0.57, 100, 57),  # products just below an integer
+    (0.3, 50, 15), (0.3, 100, 30), (0.3, 1000, 300),
+    (0.5, 50, 25), (0.5, 100, 50), (0.5, 1000, 500),
+])
+def test_resolve_break_time_guards_rounding(fraction, t, t0):
+    assert resolve_break_time(fraction, t) == t0
+
+
 # --- simulate_panel -----------------------------------------------------------------
 
 def test_same_seed_same_panel():

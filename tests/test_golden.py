@@ -1,0 +1,107 @@
+"""Golden outputs: command-line files compared byte for byte with the
+fixtures under tests/data/golden/.
+
+Covered:
+
+- ``panelcpt bench`` CSV on the 280 T <= 100 cells of the bundled
+  ``paper_tables`` grid at ``--s 2 --b 19 --seed 3``;
+- ``panelcpt simulate`` CSVs of three panels: 30x80 with a non-cancelling
+  break, 100x50 with a cancelling break, and 12x40 without a break;
+- ``panelcpt test`` JSON for J and H x nbb, cbb, sb x adaptive and fixed
+  block length 5 on the 30x80 panel, and J adaptive nbb on the 100x50 panel
+  (N > T, so J resamples the panel's triangular factor), each at workers 1
+  and 2 against one fixture.
+
+These bytes are the package's results, so a change that moves any of them
+changes results. A fixture is regenerated only together with a CHANGES.md
+entry that names which outputs moved and why. To regenerate all of them:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from panelcpt.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+SIMULATE = {
+    "simulate_30x80_noncancel.csv": [
+        "--n", "30", "--t", "80", "--rho", "0.4", "--beta", "0.5",
+        "--break", "noncancel", "--t0-frac", "0.3", "--seed", "11"],
+    "simulate_100x50_cancel.csv": [
+        "--n", "100", "--t", "50", "--rho", "0.5", "--beta", "1", "--law", "t5",
+        "--break", "cancel", "--seed", "12"],
+    "simulate_12x40_none.csv": ["--n", "12", "--t", "40", "--seed", "13"],
+}
+
+_TEST_ARGS = ["--b", "199", "--seed", "5"]
+TESTS = {
+    f"test_30x80_{stat}_{scheme}_{block}.json": (
+        "simulate_30x80_noncancel.csv",
+        ["--statistic", stat, "--scheme", scheme, "--block", block, *_TEST_ARGS])
+    for stat in ("J", "H") for scheme in ("nbb", "cbb", "sb") for block in ("adaptive", "5")
+}
+TESTS["test_100x50_J_nbb_adaptive.json"] = (
+    "simulate_100x50_cancel.csv",
+    ["--statistic", "J", "--scheme", "nbb", "--block", "adaptive", *_TEST_ARGS])
+
+BENCH = "bench_paper_tables_T100.csv"
+
+
+def _cli(argv, out: Path) -> bytes:
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _simulate(name: str, tmp: Path) -> bytes:
+    return _cli(["simulate", *SIMULATE[name]], tmp / name)
+
+
+def _test(name: str, tmp: Path, workers: int) -> bytes:
+    source, args = TESTS[name]
+    return _cli(["test", "--input", str(GOLDEN / source), *args, "--workers", str(workers)],
+                tmp / name)
+
+
+def _bench(tmp: Path) -> bytes:
+    """The bundled grid reduced to its T <= 100 cells, run at S=2, B=19."""
+    text = resources.files("panelcpt.data").joinpath("paper_tables.scn").read_text()
+    lines = [line for line in text.splitlines()
+             if not line.startswith("scenario ")
+             or int(dict(tok.split("=", 1) for tok in line.split()[1:])["t"]) <= 100]
+    scn = tmp / "paper_tables_T100.scn"
+    scn.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return _cli(["bench", "--scenarios", str(scn), "--s", "2", "--b", "19", "--seed", "3"],
+                tmp / BENCH)
+
+
+def test_bench_csv(tmp_path):
+    out = _bench(tmp_path)
+    assert out.count(b"\n") == 1 + 280
+    assert out == (GOLDEN / BENCH).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_simulate_csv(name, tmp_path):
+    assert _simulate(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(TESTS))
+def test_test_json(name, workers, tmp_path):
+    assert _test(name, tmp_path, workers) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SIMULATE:  # first: the test commands read them
+            (GOLDEN / name).write_bytes(_simulate(name, Path(tmp)))
+        for name in TESTS:
+            (GOLDEN / name).write_bytes(_test(name, Path(tmp), workers=1))
+        (GOLDEN / BENCH).write_bytes(_bench(Path(tmp)))

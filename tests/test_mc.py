@@ -77,17 +77,19 @@ def test_tiny_alpha_never_rejects():
 
 
 def test_abort_when_every_replication_fails(monkeypatch):
+    # s >= 1, so a run without a completed replication always aborts
     def degenerate(panel, cfg):
         raise DegenerateSeriesError(0)
 
     monkeypatch.setattr(mc, "run_test", degenerate)
-    sc = tiny_scenario()
-    with pytest.raises(MonteCarloError) as err:
-        rejection_frequency(sc, seed_base=7)
-    assert err.value.label == "tiny"
-    assert err.value.n_failed == sc.s
-    assert err.value.examples[:2] == [f"replication {r}: series 0: non-positive variance estimate"
-                                      for r in (0, 1)]
+    for s in (12, 1):
+        sc = tiny_scenario(s=s)
+        with pytest.raises(MonteCarloError) as err:
+            rejection_frequency(sc, seed_base=7)
+        assert err.value.label == "tiny"
+        assert err.value.n_failed == sc.s
+        assert err.value.examples[:2] == [
+            f"replication {r}: series 0: non-positive variance estimate" for r in range(min(2, s))]
 
 
 def test_fixed_block_longer_than_series_is_rejected_when_built():
