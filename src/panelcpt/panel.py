@@ -123,6 +123,20 @@ def load_csv(path: str | Path, layout: str = "columns") -> Panel:
     if not lines:
         raise EmptyInputError(f"no data rows in {path}")
 
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        arr = _parse_cells(lines)  # raises the error of the first bad line or cell
+    if layout == "columns":
+        arr = arr.T
+    return Panel(arr)
+
+
+def _parse_cells(lines: list[str]) -> np.ndarray:
+    """Parse data lines cell by cell with `float`, reporting the first ragged
+    line or bad cell; the reference that `load_csv`'s one-call parse must match."""
     rows: list[list[float]] = []
     width = None
     for r, line in enumerate(lines, start=1):
@@ -132,11 +146,7 @@ def load_csv(path: str | Path, layout: str = "columns") -> Panel:
         elif len(cells) != width:
             raise NonRectangularError(r, width, len(cells))
         rows.append([_parse_cell(c, r, j + 1) for j, c in enumerate(cells)])
-
-    arr = np.array(rows, dtype=np.float64)
-    if layout == "columns":
-        arr = arr.T
-    return Panel(arr)
+    return np.array(rows, dtype=np.float64)
 
 
 def csv_text(panel: Panel, layout: str = "columns") -> str:
@@ -146,10 +156,9 @@ def csv_text(panel: Panel, layout: str = "columns") -> str:
         raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
     arr = panel.values.T if layout == "columns" else panel.values
     prefix = "series" if layout == "columns" else "t"
-    lines = [",".join(f"{prefix}_{k + 1}" for k in range(arr.shape[1]))]
-    for row in arr:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    header = ",".join(f"{prefix}_{k + 1}" for k in range(arr.shape[1]))
+    fmt = ",".join(["%.17g"] * arr.shape[1])
+    return "\n".join([header, *(fmt % tuple(row) for row in arr.tolist())]) + "\n"
 
 
 def write_csv(panel: Panel, path: str | Path, layout: str = "columns") -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -5,6 +7,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from panelcpt import DgpConfig, draw_deltas, resolve_break_time, simulate_panel
 from panelcpt._random import (
+    _BLOCK,
+    _A,
+    _B,
+    _C,
+    _D,
+    _E,
+    _F,
+    _quantile_into,
     generator,
     normal_quantile,
     standard_normal,
@@ -31,6 +41,75 @@ def test_normal_quantile_rejects_boundary():
         normal_quantile(np.array([0.0]))
     with pytest.raises(ValueError):
         normal_quantile(np.array([1.0]))
+
+
+def _masked_quantile(p):
+    """AS 241 with one boolean-mask pass per branch over the whole array: the
+    reference the blocked `normal_quantile` must match bit for bit."""
+    def polyval(coeffs, x):
+        out = np.full_like(x, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            out = out * x + c
+        return out
+
+    p = np.asarray(p, dtype=np.float64)
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] ** 2
+        out[central] = q[central] * polyval(_A, r) / polyval(_B, r)
+    tail = ~central
+    if np.any(tail):
+        qt = q[tail]
+        r = np.where(qt < 0.0, p[tail], 1.0 - p[tail])
+        r = np.sqrt(-np.log(r))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        if np.any(near):
+            rn = r[near] - 1.6
+            val[near] = polyval(_C, rn) / polyval(_D, rn)
+        if np.any(~near):
+            rf = r[~near] - 5.0
+            val[~near] = polyval(_E, rf) / polyval(_F, rf)
+        out[tail] = np.where(qt < 0.0, -val, val)
+    return out
+
+
+def _around(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+
+
+# both sides of the |q| = 0.425 switch, of the r = 5 switch in either tail
+# (p = e**-25), and the extreme uniforms 2**-54 and 1 - 2**-53 (the largest
+# double below 1; 1 - 2**-54 rounds to 1.0)
+_EDGES = np.array([*_around(0.075), *_around(0.925), *_around(np.exp(-25.0)),
+                   *_around(1.0 - np.exp(-25.0)), 2.0**-54, 1.0 - 2.0**-53, 0.5])
+
+
+def test_normal_quantile_matches_masked_reference_bit_for_bit():
+    p = np.concatenate([_EDGES, uniform_open(generator(41), 10**6)])
+    assert normal_quantile(p).tobytes() == _masked_quantile(p).tobytes()
+    # standard_normal overwrites its uniforms with their quantiles
+    want = _masked_quantile(uniform_open(generator(41), 10**6)).tobytes()
+    assert standard_normal(generator(41), 10**6).tobytes() == want
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_normal_quantile_blocks_do_not_change_bits(size, ndim):
+    shape = {1: (size,), 2: (3, size), 3: (2, size, 2)}[ndim]
+    p = uniform_open(generator(42, size, ndim), shape)
+    flat = p.reshape(-1)
+    k = min(len(_EDGES), flat.size // 2)
+    flat[:k] = _EDGES[:k]  # edges at both ends, so in the first and last block
+    flat[flat.size - k:] = _EDGES[:k]
+    want = _masked_quantile(p).tobytes()
+    got = normal_quantile(p)
+    assert got.shape == shape
+    assert got.tobytes() == want
+    _quantile_into(p, p)
+    assert p.tobytes() == want
 
 
 def test_uniform_open_is_strictly_inside():
@@ -199,3 +278,18 @@ def test_scalar_rho_matches_equal_vector():
     vector = simulate_panel(DgpConfig(n=3, t=50, rho=(0.4, 0.4, 0.4),
                                       beta=(0.7, 0.7, 0.7), seed=28))
     assert_array_equal(scalar.values, vector.values)
+
+
+def test_simulate_peak_memory():
+    # a 2000 x 60 t5 panel draws (2000, 160, 6) normals; the uniforms become
+    # their quantiles in place, block by block, so the peak stays near the
+    # two arrays of that size that uniform_open holds
+    cfg = DgpConfig(n=2000, t=60, rho=0.3, beta=0.5, error_law="t5", seed=43)
+    draws = 2000 * (60 + 100) * 6 * 8
+    tracemalloc.start()
+    try:
+        simulate_panel(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * draws

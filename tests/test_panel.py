@@ -16,7 +16,8 @@ from panelcpt import (
     load_csv,
     write_csv,
 )
-from panelcpt.panel import demean
+from panelcpt import panel as panel_module
+from panelcpt.panel import _parse_cells, csv_text, demean
 
 
 def test_load_csv_columns_layout(tmp_path):
@@ -124,6 +125,79 @@ def test_csv_round_trip_property(layout, data):
         write_csv(panel, path, layout=layout)
         back = load_csv(path, layout=layout)
     assert back.values.tobytes() == panel.values.tobytes()
+    assert csv_text(panel, layout) == _csv_text_per_cell(panel, layout)
+
+
+def _csv_text_per_cell(panel, layout):
+    """One f-string per cell: the reference `csv_text` must match byte for byte."""
+    arr = panel.values.T if layout == "columns" else panel.values
+    prefix = "series" if layout == "columns" else "t"
+    lines = [",".join(f"{prefix}_{k + 1}" for k in range(arr.shape[1]))]
+    for row in arr:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_load_csv_parses_a_clean_file_in_one_call(tmp_path, monkeypatch):
+    panel = Panel(np.random.default_rng(12).standard_normal((7, 30)))
+    path = tmp_path / "p.csv"
+    write_csv(panel, path)
+
+    def per_cell(lines):
+        raise AssertionError("clean file fell back to the per-cell parser")
+
+    monkeypatch.setattr(panel_module, "_parse_cells", per_cell)
+    assert load_csv(path).values.tobytes() == panel.values.tobytes()
+
+
+_PADS = st.sampled_from(["", " ", "\t", " \t ", "\xa0", "\u2003"])
+_SPELLINGS = st.sampled_from(["%r", "%.17g", "%+.17g", "%.17e", "%.3E", "%.1f"])
+_GOOD_TOKENS = st.one_of(
+    st.builds(lambda spelling, x: spelling % x, _SPELLINGS, _FINITE),
+    st.sampled_from(["+.5", "-0", "1.", "00012", "1E+05", "-1e-400"]),
+)
+# spellings that float() accepts and numpy's parser rejects
+_PYTHON_ONLY_TOKENS = st.sampled_from(["1_0", "-2_5.5e-1_0", "\u0661\u0662",
+                                       "\uff11.\uff15"])
+_BAD_TOKENS = st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e400", "-1e400",
+                               "", '"1"', "'2'", "#", "1#2", "#3", "4 # x", "abc",
+                               "0x10", "1e", "1,5"])
+
+
+@pytest.mark.parametrize("fault", ["none", "python_only", "bad", "longer", "shorter"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_call_parse_matches_per_cell_parse(fault, data):
+    # a header line, then data lines with at most one unusual cell or ragged
+    # line: load_csv must give the per-cell parser's array bit for bit, or its
+    # exception and message
+    width, height = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 5))
+    cell = st.tuples(_PADS, _GOOD_TOKENS, _PADS).map("".join)
+    rows = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                              min_size=height, max_size=height))
+    i = data.draw(st.sampled_from(range(height)))
+    j = data.draw(st.sampled_from(range(width)))
+    if fault in ("python_only", "bad"):
+        tokens = _PYTHON_ONLY_TOKENS if fault == "python_only" else _BAD_TOKENS
+        rows[i][j] = data.draw(st.tuples(_PADS, tokens, _PADS).map("".join))
+    elif fault == "longer":
+        rows[i].append(data.draw(cell))
+    elif fault == "shorter":
+        del rows[i][j]
+    lines = [",".join(row) for row in rows]
+
+    def outcome(parse):
+        try:
+            values = parse()
+        except (ValueError, NonNumericCellError, NonRectangularError) as exc:
+            return type(exc), str(exc)
+        return values.shape, values.tobytes()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.csv"
+        path.write_text("\n".join(["head,er", *lines]) + "\n", encoding="utf-8")
+        got = outcome(lambda: load_csv(path, layout="rows").values)
+    assert got == outcome(lambda: Panel(_parse_cells(lines)).values)
 
 
 def test_panel_validation():
