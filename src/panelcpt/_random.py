@@ -58,13 +58,16 @@ def generator(*path: int) -> np.random.Generator:
 def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
     """Uniform draws on the open interval (0, 1).
 
-    Values are ``(k + 0.5) / 2**53`` for a 53-bit integer ``k``, so 0.0 and
-    1.0 are never produced and the quantile transforms below stay finite.
+    Values are ``(k + 0.5) / 2**53`` for a 53-bit integer ``k``, rounded to
+    the nearest double, ties to even (so k >= 2**52 lands on a neighbour),
+    and capped below 1: 0.0 and 1.0 are never produced and the quantile
+    transforms below stay finite.
     """
     k = rng.integers(0, 2**53, size=size, dtype=np.uint64)
     u = k.astype(np.float64)
     u += 0.5
     u /= _TWO53
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
     return u
 
 

@@ -1,15 +1,18 @@
 """Monte Carlo harness: empirical size and power over scenario grids.
 
-Each replication r of a scenario derives independent seeds for the data
-draw and for the bootstrap, ``derive_seed(seed_base, r, 0)`` and
-``derive_seed(seed_base, r, 1)``, so results are reproducible from
-(scenario, seed_base) alone and identical for any worker count.
+``run_grid`` runs every replication of a grid on one loop. Replication r of a
+scenario derives independent seeds for the data draw and for the bootstrap,
+``derive_seed(seed_base, r, 0)`` and ``derive_seed(seed_base, r, 1)``, so
+results are reproducible from (scenario, seed_base) alone and identical for
+any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import json
 import multiprocessing
 import time
@@ -61,7 +64,8 @@ class MonteCarloReport:
 
     ``s`` counts the replications that completed; ``rejection_frequency * s``
     is an integer. ``errors`` holds one message per failed replication (at
-    most 1% of the requested count, otherwise the run aborts).
+    most 1% of the requested count, otherwise the run aborts). ``wall_time_s``
+    is the sum of the replications' own times.
     """
 
     label: str
@@ -74,50 +78,26 @@ class MonteCarloReport:
 
 
 def _replication_worker(args):
-    """((reject, block length) or None, error message or None)."""
+    """((reject, block length) or None, error message or None, seconds)."""
+    tic = time.perf_counter()
     scenario, seed_base, r = args
     dgp = replace(scenario.dgp, seed=derive_seed(seed_base, r, 0))
     test = replace(scenario.test, seed=derive_seed(seed_base, r, 1))
     try:
         result = run_test(simulate_panel(dgp), test)
     except PanelCptError as exc:
-        return None, f"replication {r}: {exc}"
-    return (bool(result.reject), int(result.block_length_used)), None
+        return None, f"replication {r}: {exc}", time.perf_counter() - tic
+    return (bool(result.reject), int(result.block_length_used)), None, time.perf_counter() - tic
 
 
-def rejection_frequency(scenario: Scenario, seed_base: int,
-                        workers: int = 1) -> MonteCarloReport:
-    """Estimate the rejection probability of a scenario by simulation.
-
-    Parameters
-    ----------
-    scenario : Scenario
-    seed_base : int
-        Master seed; replication r uses seeds derived from
-        (seed_base, r, purpose) and nothing else.
-    workers : int
-        Process count for the outer replication loop, an integer >= 1.
-        Results are identical for any value.
-
-    Raises
-    ------
-    MonteCarloError
-        If more than 1% of replications raise.
-    """
-    workers = check_int("workers", workers, 1)
-    tic = time.perf_counter()
-    tasks = [(scenario, seed_base, r) for r in range(scenario.s)]
-    if workers == 1:
-        outcomes = [_replication_worker(task) for task in tasks]
-    else:
-        # map returns results in task order
-        with multiprocessing.Pool(processes=min(workers, scenario.s)) as pool:
-            outcomes = pool.map(_replication_worker, tasks, chunksize=8)
-
+def _report(scenario: Scenario, seed_base: int, outcomes) -> MonteCarloReport:
+    """One cell's report from its replication outcomes, in replication order."""
     rejects = 0
+    wall_time = 0.0
     lengths: list[int] = []
     errors: list[str] = []
-    for result, error in outcomes:
+    for result, error, seconds in outcomes:
+        wall_time += seconds
         if error is not None:
             errors.append(error)
             continue
@@ -131,27 +111,58 @@ def rejection_frequency(scenario: Scenario, seed_base: int,
         rejection_frequency=rejects / len(lengths),
         s=len(lengths),
         mean_block_length=float(np.mean(lengths)),
-        wall_time_s=time.perf_counter() - tic,
+        wall_time_s=wall_time,
         seed_base=int(seed_base),
         errors=tuple(errors),
     )
 
 
+def rejection_frequency(scenario: Scenario, seed_base: int,
+                        workers: int = 1) -> MonteCarloReport:
+    """Estimate the rejection probability of a scenario: ``run_grid`` of one cell.
+
+    Parameters
+    ----------
+    scenario : Scenario
+    seed_base : int
+        Master seed; replication r uses seeds derived from
+        (seed_base, r, purpose) and nothing else.
+    workers : int
+        Process count for the replication loop, an integer >= 1.
+        Results are identical for any value.
+
+    Raises
+    ------
+    MonteCarloError
+        If more than 1% of replications raise.
+    """
+    return run_grid([scenario], seed_base, workers=workers)[0]
+
+
 def run_grid(scenarios, seed_base: int, workers: int = 1,
              progress=None) -> list[MonteCarloReport]:
-    """Run a list of scenarios in order; reports come back in input order.
+    """Run a list of scenarios; reports come back in input order.
 
-    Two occurrences of the same scenario under the same seed_base produce
-    identical reports (up to wall time), whatever the parallelism.
+    All replications run as one task list in grid order, on one process pool
+    when ``workers`` > 1. ``progress(scenario, report)`` is called per cell,
+    in order, once the cell is complete. ``MonteCarloError`` is raised for
+    the first cell in order where more than 1% of replications fail. Reports
+    are identical (up to wall time) whatever the parallelism.
     """
     if not scenarios:
         raise ValueError("scenario list must be non-empty")
+    workers = check_int("workers", workers, 1)
+    tasks = [(scenario, seed_base, r) for scenario in scenarios for r in range(scenario.s)]
     reports = []
-    for scenario in scenarios:
-        report = rejection_frequency(scenario, seed_base, workers=workers)
-        if progress is not None:
-            progress(scenario, report)
-        reports.append(report)
+    with contextlib.ExitStack() as stack:
+        outcomes = map(_replication_worker, tasks)
+        if workers > 1:
+            pool = stack.enter_context(multiprocessing.Pool(processes=min(workers, len(tasks))))
+            outcomes = pool.imap(_replication_worker, tasks, chunksize=8)  # in task order
+        for scenario in scenarios:
+            reports.append(_report(scenario, seed_base, itertools.islice(outcomes, scenario.s)))
+            if progress is not None:
+                progress(scenario, reports[-1])
     return reports
 
 

@@ -117,6 +117,19 @@ def test_uniform_open_is_strictly_inside():
     assert u.min() > 0.0 and u.max() < 1.0
 
 
+def test_uniform_open_caps_the_largest_draw_below_one():
+    # k + 0.5 rounds to an even neighbour for k >= 2**52; for the largest k
+    # that neighbour is 2**53, which would make the draw exactly 1.0
+    class Stub:
+        def integers(self, low, high, size, dtype):
+            return np.array([0, 2**52, 2**53 - 1], dtype=dtype)
+
+    u = uniform_open(Stub(), 3)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert u[-1] == np.nextafter(1.0, 0.0)
+    assert np.all(np.isfinite(standard_normal(Stub(), 3)))
+
+
 def test_standard_normal_moments():
     z = standard_normal(generator(6), 10**6)
     assert abs(z.mean()) < 0.005

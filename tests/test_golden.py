@@ -4,7 +4,8 @@ fixtures under tests/data/golden/.
 Covered:
 
 - ``panelcpt bench`` CSV on the 280 T <= 100 cells of the bundled
-  ``paper_tables`` grid at ``--s 2 --b 19 --seed 3``;
+  ``paper_tables`` grid at ``--s 2 --b 19 --seed 3``, at workers 1 and 2
+  against one fixture;
 - ``panelcpt simulate`` CSVs of three panels: 30x80 with a non-cancelling
   break, 100x50 with a cancelling break, and 12x40 without a break;
 - ``panelcpt test`` JSON for J and H x nbb, cbb, sb x adaptive and fixed
@@ -68,7 +69,7 @@ def _test(name: str, tmp: Path, workers: int) -> bytes:
                 tmp / name)
 
 
-def _bench(tmp: Path) -> bytes:
+def _bench(tmp: Path, workers: int) -> bytes:
     """The bundled grid reduced to its T <= 100 cells, run at S=2, B=19."""
     text = resources.files("panelcpt.data").joinpath("paper_tables.scn").read_text()
     lines = [line for line in text.splitlines()
@@ -76,12 +77,13 @@ def _bench(tmp: Path) -> bytes:
              or int(dict(tok.split("=", 1) for tok in line.split()[1:])["t"]) <= 100]
     scn = tmp / "paper_tables_T100.scn"
     scn.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return _cli(["bench", "--scenarios", str(scn), "--s", "2", "--b", "19", "--seed", "3"],
-                tmp / BENCH)
+    return _cli(["bench", "--scenarios", str(scn), "--s", "2", "--b", "19", "--seed", "3",
+                 "--workers", str(workers)], tmp / BENCH)
 
 
-def test_bench_csv(tmp_path):
-    out = _bench(tmp_path)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bench_csv(workers, tmp_path):
+    out = _bench(tmp_path, workers)
     assert out.count(b"\n") == 1 + 280
     assert out == (GOLDEN / BENCH).read_bytes()
 
@@ -104,4 +106,4 @@ if __name__ == "__main__":
             (GOLDEN / name).write_bytes(_simulate(name, Path(tmp)))
         for name in TESTS:
             (GOLDEN / name).write_bytes(_test(name, Path(tmp), workers=1))
-        (GOLDEN / BENCH).write_bytes(_bench(Path(tmp)))
+        (GOLDEN / BENCH).write_bytes(_bench(Path(tmp), workers=1))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from panelcpt import (
@@ -12,6 +14,7 @@ from panelcpt import (
     run_grid,
 )
 from panelcpt import mc
+from panelcpt.cli import main
 from panelcpt.mc import RECORD_FIELDS
 
 
@@ -46,26 +49,79 @@ def test_workers_do_not_change_report():
     assert serial.mean_block_length == parallel.mean_block_length
 
 
-def test_process_pool_capped_at_replication_count(monkeypatch):
-    sizes = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Run the process pool in-process; records each pool's size and whether
+    it is still open."""
+    pools = SimpleNamespace(sizes=[], open=0)
 
     class FakePool:
         def __init__(self, processes):
-            sizes.append(processes)
+            pools.sizes.append(processes)
 
         def __enter__(self):
+            pools.open += 1
             return self
 
         def __exit__(self, *exc):
+            pools.open -= 1
             return False
 
-        def map(self, func, tasks, chunksize=1):
-            return [func(task) for task in tasks]
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
 
     monkeypatch.setattr(mc.multiprocessing, "Pool", FakePool)
+    return pools
+
+
+def test_process_pool_capped_at_replication_count(fake_pool):
     report = rejection_frequency(tiny_scenario(s=3), seed_base=5, workers=8)
-    assert sizes == [3]
+    assert fake_pool.sizes == [3]
     assert report.s == 3
+    # one pool for the whole grid, capped at the grid's replication count
+    fake_pool.sizes.clear()
+    reports = run_grid([tiny_scenario(s=3), tiny_scenario(s=2)], seed_base=5, workers=8)
+    assert fake_pool.sizes == [5]
+    assert [r.s for r in reports] == [3, 2]
+
+
+def _fail_cell_with_b(monkeypatch, b):
+    run = mc.run_test
+
+    def run_test(panel, cfg):
+        if cfg.b == b:
+            raise DegenerateSeriesError(0)
+        return run(panel, cfg)
+
+    monkeypatch.setattr(mc, "run_test", run_test)
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_first_failing_cell_in_grid_order_aborts(workers, fake_pool, monkeypatch):
+    _fail_cell_with_b(monkeypatch, 29)
+    grid = [tiny_scenario("first", s=3), tiny_scenario("middle", s=3, b=29),
+            tiny_scenario("last", s=3, b=39)]
+    done = []
+    with pytest.raises(MonteCarloError) as err:
+        run_grid(grid, seed_base=8, workers=workers,
+                 progress=lambda scenario, report: done.append(scenario.label))
+    assert err.value.label == "middle"
+    assert err.value.n_failed == 3
+    assert done == ["first"]
+    assert fake_pool.sizes == ([] if workers == 1 else [8])
+    assert fake_pool.open == 0
+
+
+def test_bench_with_a_failing_cell_exits_3_without_output(tmp_path, monkeypatch):
+    _fail_cell_with_b(monkeypatch, 29)
+    scn = tmp_path / "grid.scn"
+    scn.write_text("defaults s=3 statistic=J scheme=nbb block=adaptive n=6 t=24\n"
+                   "scenario label=first b=49\n"
+                   "scenario label=middle b=29\n"
+                   "scenario label=last b=39\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--scenarios", str(scn), "--seed", "8", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_tiny_alpha_never_rejects():
