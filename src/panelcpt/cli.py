@@ -37,7 +37,6 @@ from .errors import (
     MonteCarloError,
     NonNumericCellError,
     NonRectangularError,
-    PanelCptError,
 )
 from .mc import Scenario, grid_records, records_csv, records_json, run_grid
 from .panel import csv_text, load_csv
@@ -135,7 +134,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     panel = simulate_panel(_dgp_config(vars(args)))
-    _write_out(csv_text(panel, layout="columns"), args.out)
+    _write_out(csv_text(panel), args.out)
     return 0
 
 
@@ -293,9 +292,6 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"panelcpt: {exc}", file=sys.stderr)
         return 2
-    except PanelCptError as exc:
-        print(f"panelcpt: internal error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

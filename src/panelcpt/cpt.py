@@ -153,13 +153,7 @@ def run_test(panel: Panel, cfg: TestConfig, workers: int = 1) -> TestResult:
     critical = empirical_quantile(dist, 1.0 - cfg.alpha)
     pv = p_value(dist, observed.value)
     diagnostics = {
-        "statistic": cfg.statistic,
-        "scheme": cfg.scheme,
-        "block_rule": cfg.block_rule,
-        "b": cfg.b,
-        "alpha": cfg.alpha,
         "alpha_effective": effective_level(cfg.alpha, cfg.b),
-        "seed": cfg.seed,
         "block_selection_fallback": bool(selection.fallback) if selection else None,
         "block_selection_raw": float(selection.raw) if selection else None,
         "l0": selection.l0 if selection else None,

@@ -45,11 +45,10 @@ class DgpConfig:
     ----------
     n, t : int
         Panel dimensions (N >= 1 series, T >= 2 time points), integers.
-    rho : float or sequence of float
-        AR(1) coefficient, |rho_i| < 1. A scalar is shared by all series; a
-        length-n sequence sets one coefficient per series.
-    beta : float or sequence of float
-        Common-factor loading, scalar or per-series like ``rho``.
+    rho : float
+        AR(1) coefficient shared by all series, |rho| < 1.
+    beta : float
+        Common-factor loading shared by all series.
     error_law : {"normal", "t5"}
         Innovation law for both the idiosyncratic terms and the factor;
         "t5" is Student-t with 5 df scaled to unit variance.
@@ -64,8 +63,8 @@ class DgpConfig:
 
     n: int
     t: int
-    rho: float | tuple = 0.0
-    beta: float | tuple = 0.0
+    rho: float = 0.0
+    beta: float = 0.0
     error_law: str = "normal"
     break_spec: str = "none"
     t0_fraction: float = 0.5
@@ -74,10 +73,9 @@ class DgpConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", _random.check_int("n", self.n, 1))
         object.__setattr__(self, "t", _random.check_int("t", self.t, 2))
-        object.__setattr__(self, "rho", _coefficient("rho", self.rho, self.n))
-        object.__setattr__(self, "beta", _coefficient("beta", self.beta, self.n))
-        rho_values = np.atleast_1d(np.asarray(self.rho))
-        if not np.all(np.abs(rho_values) < 1.0):
+        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "beta", float(self.beta))
+        if not abs(self.rho) < 1.0:
             raise ValueError(f"|rho| must be < 1, got {self.rho}")
         if self.error_law not in LAWS:
             raise ValueError(f"error_law must be one of {LAWS}, got {self.error_law!r}")
@@ -92,17 +90,6 @@ class DgpConfig:
                 )
         if self.seed is not None:
             object.__setattr__(self, "seed", _random.check_int("seed", self.seed, 0, _random.SEED_MAX))
-
-
-def _coefficient(name: str, value, n: int):
-    """Normalize a scalar or per-series coefficient to float or length-n tuple."""
-    if np.isscalar(value) or isinstance(value, (int, float)):
-        return float(value)
-    values = tuple(float(v) for v in value)
-    if len(values) != n:
-        raise ValueError(f"{name} must be a scalar or have one entry per series "
-                         f"(n={n}), got {len(values)}")
-    return values
 
 
 def resolve_break_time(t0_fraction: float, t: int) -> int:
@@ -147,17 +134,15 @@ def simulate_panel(cfg: DgpConfig) -> Panel:
     horizon = BURN_IN + cfg.t
     f = _draw(rng, cfg.error_law, horizon)
     a = _draw(rng, cfg.error_law, (cfg.n, horizon))
-    beta = np.broadcast_to(np.asarray(cfg.beta, dtype=np.float64), (cfg.n,))
-    rho = np.broadcast_to(np.asarray(cfg.rho, dtype=np.float64), (cfg.n,))
-    eps = a + beta[:, None] * f[None, :]
-    values = _ar1_filter(eps, rho)[:, BURN_IN:]
+    a += cfg.beta * f  # the innovations eps, in place
+    values = _ar1_filter(a, cfg.rho)[:, BURN_IN:]
     if deltas is not None:
         values = _inject_break(values, deltas, resolve_break_time(cfg.t0_fraction, cfg.t))
     return Panel(values)
 
 
-def _ar1_filter(eps: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """e[i, s] = rho_i * e[i, s-1] + eps[i, s], started from zero."""
+def _ar1_filter(eps: np.ndarray, rho: float) -> np.ndarray:
+    """e[i, s] = rho * e[i, s-1] + eps[i, s], started from zero."""
     out = np.empty_like(eps)
     acc = np.zeros(eps.shape[0])
     for s in range(eps.shape[1]):

@@ -173,14 +173,6 @@ RECORD_FIELDS = (
 )
 
 
-def _coeff_field(value):
-    """Per-series coefficient vectors become semicolon-joined strings so the
-    CSV stays comma-safe; scalars pass through."""
-    if isinstance(value, tuple):
-        return ";".join(str(v) for v in value)
-    return value
-
-
 def records_csv(records) -> str:
     """Render grid records as CSV with the fixed column set, quoted as needed."""
     buf = io.StringIO()
@@ -207,8 +199,8 @@ def grid_records(scenarios, reports, include_timings: bool = False) -> list[dict
             "statistic": scenario.test.statistic,
             "scheme": scenario.test.scheme,
             "block_rule": scenario.test.block_rule,
-            "rho": _coeff_field(scenario.dgp.rho),
-            "beta": _coeff_field(scenario.dgp.beta),
+            "rho": scenario.dgp.rho,
+            "beta": scenario.dgp.beta,
             "N": scenario.dgp.n,
             "T": scenario.dgp.t,
             "error_law": scenario.dgp.error_law,

@@ -149,18 +149,15 @@ def _parse_cells(lines: list[str]) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def csv_text(panel: Panel, layout: str = "columns") -> str:
-    """Render a panel as CSV text with 17 significant digits per cell, after
-    a header line (series_1.. for "columns", t_1.. for "rows") that `load_csv` skips."""
-    if layout not in _LAYOUTS:
-        raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
-    arr = panel.values.T if layout == "columns" else panel.values
-    prefix = "series" if layout == "columns" else "t"
-    header = ",".join(f"{prefix}_{k + 1}" for k in range(arr.shape[1]))
-    fmt = ",".join(["%.17g"] * arr.shape[1])
-    return "\n".join([header, *(fmt % tuple(row) for row in arr.tolist())]) + "\n"
+def csv_text(panel: Panel) -> str:
+    """Render a panel as CSV text, one series per column, with 17 significant
+    digits per cell, after a header line series_1.. that `load_csv` skips."""
+    header = ",".join(f"series_{k + 1}" for k in range(panel.n_series))
+    fmt = ",".join(["%.17g"] * panel.n_series)
+    return "\n".join([header, *(fmt % tuple(row) for row in panel.values.T.tolist())]) + "\n"
 
 
-def write_csv(panel: Panel, path: str | Path, layout: str = "columns") -> None:
-    """Write a panel as CSV (17 significant digits, bit-exact round trip)."""
-    Path(path).write_text(csv_text(panel, layout), encoding="utf-8")
+def write_csv(panel: Panel, path: str | Path) -> None:
+    """Write a panel as CSV, one series per column (17 significant digits,
+    bit-exact round trip through `load_csv`)."""
+    Path(path).write_text(csv_text(panel), encoding="utf-8")

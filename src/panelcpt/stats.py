@@ -92,10 +92,10 @@ def bartlett_lrv(panel: Panel, bandwidth="auto") -> LrvEstimates:
     Parameters
     ----------
     panel : Panel
-    bandwidth : "auto", int, or sequence of int
+    bandwidth : "auto" or int
         "auto" selects L_i per series by the adaptive block-length procedure
         applied to that series alone (requires T >= 4). An explicit bandwidth
-        is an integer, or a sequence of one per series, with 1 <= L < T.
+        is one integer 1 <= L < T shared by all series.
 
     Raises
     ------
@@ -118,13 +118,11 @@ def _lrv(d: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
     t = d.shape[-1]
     if isinstance(bandwidth, str):
         if bandwidth != "auto":
-            raise ValueError(f"bandwidth must be 'auto' or integer(s), got {bandwidth!r}")
+            raise ValueError(f"bandwidth must be 'auto' or an integer, got {bandwidth!r}")
         gamma = blocklen.autocovariances(d, blocklen.pilot_bandwidth(t) - 1)
         lengths = blocklen.select_lengths_from_autocov(gamma, t)
     else:
-        bw = np.asarray(bandwidth, dtype=object)
-        lengths = np.array([check_int("bandwidth", b, 1, t - 1) for b in bw.flat], dtype=np.int64)
-        lengths = np.broadcast_to(lengths.reshape(bw.shape), d.shape[:-1])
+        lengths = np.full(d.shape[:-1], check_int("bandwidth", bandwidth, 1, t - 1))
         gamma = None
     max_len = int(lengths.max())
     if gamma is None or max_len > gamma.shape[-1]:
@@ -209,19 +207,11 @@ class HStatistic:
     """The studentized statistic as a bootstrap statistic object.
 
     The per-series long-run variances are re-estimated on every input,
-    including bootstrap resamples; calls and ``batch`` run the same kernel.
-
-    Parameters
-    ----------
-    bandwidth : "auto" or int
-        Bartlett bandwidth of the per-series long-run variances, as in
-        `bartlett_lrv`; "auto" requires T >= 4 on every input.
+    including bootstrap resamples, with "auto" bandwidths as in `bartlett_lrv`
+    (T >= 4 on every input); calls and ``batch`` run the same kernel.
     """
 
     name = "H"
-
-    def __init__(self, bandwidth="auto"):
-        self.bandwidth = bandwidth
 
     def basis(self, panel: Panel) -> Panel:
         """The panel itself: per-series studentization is not rotation-invariant."""
@@ -235,5 +225,5 @@ class HStatistic:
 
     def _objective(self, values: np.ndarray) -> np.ndarray:
         d = demean(values)
-        sigma2, _ = _lrv(d, self.bandwidth)
+        sigma2, _ = _lrv(d, "auto")
         return _h_objective(d, sigma2)

@@ -55,7 +55,7 @@ def panel_csv(tmp_path):
     rng = np.random.default_rng(17)
     panel = Panel(rng.standard_normal((5, 40)))
     path = tmp_path / "panel.csv"
-    write_csv(panel, path, layout="columns")
+    write_csv(panel, path)
     return path, panel
 
 
@@ -99,6 +99,12 @@ def test_cmd_test_block_zero_exits_2(panel_csv, capsys):
                     "--seed", "1"])
     assert code == 2
     assert "block length" in capsys.readouterr().err
+
+
+def test_cmd_test_block_not_an_integer_exits_2(panel_csv, capsys):
+    path, _ = panel_csv
+    assert run_cli(["test", "--input", str(path), "--block", "abc", "--b", "9"]) == 2
+    assert "block must be 'adaptive' or an integer" in capsys.readouterr().err
 
 
 def test_cmd_test_constant_series_h_exits_3(tmp_path, capsys):
@@ -205,6 +211,11 @@ def test_parse_scenarios_errors():
         parse_scenarios("# nothing\n")
     with pytest.raises(ValueError, match="line 2: .*scheme"):
         parse_scenarios("# comment\nscenario label=x n=5 t=20 scheme=mbb")
+    with pytest.raises(ValueError, match="line 1: expected key=value, got 'n5'"):
+        parse_scenarios("scenario label=x n5 t=20")
+    for line, missing in [("n=5 t=20", "label"), ("label=x t=20", "n"), ("label=x n=5", "t")]:
+        with pytest.raises(ValueError, match=f"line 1: scenario needs {missing}="):
+            parse_scenarios(f"scenario {line}")
 
 
 def test_parse_scenarios_rejects_block_longer_than_series():

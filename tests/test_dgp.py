@@ -270,27 +270,12 @@ def test_no_break_when_spec_none():
     assert abs(row[1000:].mean() - row[:1000].mean()) < 0.2
 
 
-def test_per_series_rho_vector():
-    cfg = DgpConfig(n=2, t=10000, rho=(0.0, 0.8), beta=0.0, seed=27)
-    panel = simulate_panel(cfg)
-    for row, target in zip(panel.values, (0.0, 0.8)):
-        d = row - row.mean()
-        rho_hat = (d[:-1] * d[1:]).sum() / (d * d).sum()
-        assert abs(rho_hat - target) < 0.05
-
-
 def test_per_series_coefficients_validated():
-    with pytest.raises(ValueError):
-        DgpConfig(n=3, t=10, rho=(0.1, 0.2))  # wrong length
-    with pytest.raises(ValueError):
-        DgpConfig(n=2, t=10, rho=(0.1, 1.0))  # unit root entry
-
-
-def test_scalar_rho_matches_equal_vector():
-    scalar = simulate_panel(DgpConfig(n=3, t=50, rho=0.4, beta=0.7, seed=28))
-    vector = simulate_panel(DgpConfig(n=3, t=50, rho=(0.4, 0.4, 0.4),
-                                      beta=(0.7, 0.7, 0.7), seed=28))
-    assert_array_equal(scalar.values, vector.values)
+    # rho and beta are shared by all series; a sequence is rejected, not broadcast
+    with pytest.raises(TypeError):
+        DgpConfig(n=2, t=10, rho=(0.1, 0.2))
+    with pytest.raises(TypeError):
+        DgpConfig(n=2, t=10, beta=(0.1, 0.2))
 
 
 def test_simulate_peak_memory():

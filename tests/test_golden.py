@@ -11,7 +11,10 @@ Covered:
 - ``panelcpt test`` JSON for J and H x nbb, cbb, sb x adaptive and fixed
   block length 5 on the 30x80 panel, and J adaptive nbb on the 100x50 panel
   (N > T, so J resamples the panel's triangular factor), each at workers 1
-  and 2 against one fixture.
+  and 2 against one fixture;
+- one ``simulate`` and one ``test`` case again in a subprocess with numpy's
+  run-time SIMD dispatch switched off (``NPY_DISABLE_CPU_FEATURES``), so
+  the bytes do not depend on which kernels this CPU selects.
 
 These bytes are the package's results, so a change that moves any of them
 changes results. A fixture is regenerated only together with a CHANGES.md
@@ -20,12 +23,17 @@ entry that names which outputs moved and why. To regenerate all of them:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import panelcpt
 from panelcpt.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -97,6 +105,33 @@ def test_simulate_csv(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(TESTS))
 def test_test_json(name, workers, tmp_path):
     assert _test(name, tmp_path, workers) == (GOLDEN / name).read_bytes()
+
+
+# the dispatch targets above numpy's build baseline that this CPU would select
+_DISPATCHED = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+# checks that the features are off in the child before running the command
+_CHILD = ("import sys; from numpy._core._multiarray_umath import __cpu_features__ as f; "
+          "from panelcpt.cli import main; "
+          "assert not any(f[k] for k in sys.argv[1].split()), 'dispatch not disabled'; "
+          "sys.exit(main(sys.argv[2:]))")
+
+
+@pytest.mark.skipif(not _DISPATCHED, reason="numpy dispatches no kernel above its baseline here")
+def test_outputs_without_simd_dispatch(tmp_path):
+    features = " ".join(_DISPATCHED)
+    src = str(Path(panelcpt.__file__).parent.parent)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": features,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    source, args = TESTS["test_30x80_H_sb_adaptive.json"]
+    for name, argv in [
+        ("simulate_100x50_cancel.csv", ["simulate", *SIMULATE["simulate_100x50_cancel.csv"]]),
+        ("test_30x80_H_sb_adaptive.json", ["test", "--input", str(GOLDEN / source), *args]),
+    ]:
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-c", _CHILD, features, *argv, "--out", str(out)],
+                       env=env, check=True, timeout=300)
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ def test_load_csv_rows_layout_identity(tmp_path):
     assert panel.values[0, 0] == 1.0
     assert panel.values[0, 1] == 2.0
     assert panel.values[1, 0] == 3.0
+    with pytest.raises(ValueError, match="layout"):
+        load_csv(path, layout="diag")
 
 
 def test_load_csv_detects_header(tmp_path):
@@ -102,7 +104,7 @@ def test_csv_round_trip_bit_exact(tmp_path, layout):
     rng = np.random.default_rng(7)
     panel = Panel(rng.standard_normal((4, 11)) * 1e3)
     path = tmp_path / "rt.csv"
-    write_csv(panel, path, layout=layout)
+    _write(panel, path, layout)
     back = load_csv(path, layout=layout)
     assert_array_equal(back.values, panel.values)
 
@@ -122,10 +124,18 @@ def test_csv_round_trip_property(layout, data):
     panel = Panel(np.array(cells).reshape(n, t))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rt.csv"
-        write_csv(panel, path, layout=layout)
+        _write(panel, path, layout)
         back = load_csv(path, layout=layout)
     assert back.values.tobytes() == panel.values.tobytes()
-    assert csv_text(panel, layout) == _csv_text_per_cell(panel, layout)
+    assert csv_text(panel) == _csv_text_per_cell(panel, "columns")
+
+
+def _write(panel, path, layout):
+    # write_csv writes one series per column; rows text comes from the reference
+    if layout == "columns":
+        write_csv(panel, path)
+    else:
+        path.write_text(_csv_text_per_cell(panel, "rows"), encoding="utf-8")
 
 
 def _csv_text_per_cell(panel, layout):
@@ -209,6 +219,8 @@ def test_panel_validation():
         Panel(np.array([[1.0, np.inf]]))
     with pytest.raises(ValueError):
         Panel(np.zeros((0, 5)))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        Panel(np.zeros((2, 3, 4)))
 
 
 def test_panel_is_immutable():

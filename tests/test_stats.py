@@ -180,23 +180,21 @@ def test_bartlett_auto_matches_per_series_selection():
 
 def test_bartlett_rejects_bad_bandwidth():
     panel = Panel(np.random.default_rng(1).standard_normal((2, 10)))
-    for bad in (0, 10, [2, 10]):
+    for bad in (0, 10, "fixed"):
         with pytest.raises(ValueError, match="bandwidth"):
             bartlett_lrv(panel, bandwidth=bad)
-    # a float or bool is rejected, never truncated
-    for bad in (2.5, 2.0, np.float64(3.0), True, [1.9, 3], [2, 3.0]):
+    # a float or bool is rejected, never truncated; one bandwidth serves all series
+    for bad in (2.5, 2.0, np.float64(3.0), True, [2, 3]):
         with pytest.raises(TypeError, match="bandwidth"):
             bartlett_lrv(panel, bandwidth=bad)
-        with pytest.raises(TypeError, match="bandwidth"):
-            HStatistic(bandwidth=bad)(panel)
 
 
 def test_bartlett_bandwidths_of_any_integer_type():
     panel = Panel(np.random.default_rng(1).standard_normal((2, 30)))
-    want = bartlett_lrv(panel, bandwidth=[2, 3])
-    for bandwidth in ([np.int64(2), 3], np.array([2, 3]), (2, np.int32(3))):
+    want = bartlett_lrv(panel, bandwidth=3)
+    for bandwidth in (np.int64(3), np.int32(3), 3):
         got = bartlett_lrv(panel, bandwidth=bandwidth)
-        np.testing.assert_array_equal(got.bandwidth_used, [2, 3])
+        np.testing.assert_array_equal(got.bandwidth_used, [3, 3])
         np.testing.assert_array_equal(got.sigma2, want.sigma2)
 
 
@@ -269,14 +267,26 @@ def test_h_doubling_sigma_changes_h():
     assert h_statistic(panel, lrv).value != h_statistic(panel, doubled).value
 
 
+def test_h_rejects_sigma2_of_wrong_length_or_sign():
+    panel = Panel(np.random.default_rng(14).standard_normal((4, 30)))
+    lrv = bartlett_lrv(panel, bandwidth=2)
+    short = type(lrv)(sigma2=lrv.sigma2[:3], bandwidth_used=lrv.bandwidth_used[:3])
+    with pytest.raises(ValueError, match="one entry per series"):
+        h_statistic(panel, short)
+    sigma2 = lrv.sigma2.copy()
+    sigma2[2] = 0.0
+    with pytest.raises(DegenerateSeriesError) as err:
+        h_statistic(panel, type(lrv)(sigma2=sigma2, bandwidth_used=lrv.bandwidth_used))
+    assert err.value.series == 2
+
+
 # --- statistic objects ----------------------------------------------------
 
 def test_statistic_objects_match_functions():
     rng = np.random.default_rng(15)
     panel = Panel(rng.standard_normal((4, 36)))
     assert JStatistic()(panel) == j_statistic(panel)
-    hv = HStatistic(bandwidth=3)(panel)
-    assert hv == h_statistic(panel, bartlett_lrv(panel, bandwidth=3))
+    assert HStatistic()(panel) == h_statistic(panel, bartlett_lrv(panel))
 
 
 def test_batch_matches_scalar_path():
@@ -286,7 +296,7 @@ def test_batch_matches_scalar_path():
     batch = j.batch(np.ascontiguousarray(stack))
     for r in range(7):
         assert batch[r] == j(Panel(stack[r])).value
-    h = HStatistic(bandwidth="auto")
+    h = HStatistic()
     hbatch = h.batch(np.ascontiguousarray(stack))
     for r in range(7):
         assert hbatch[r] == h(Panel(stack[r])).value
@@ -321,7 +331,7 @@ def test_h_call_on_constant_series_names_only_the_series():
     panel = Panel(np.vstack([np.random.default_rng(0).standard_normal(10),
                              np.full(10, 4.0)]))
     with pytest.raises(DegenerateSeriesError) as err:
-        HStatistic(bandwidth=2)(panel)
+        HStatistic()(panel)
     assert err.value.replicate is None
     assert str(err.value) == "series 1: constant series (zero variance)"
 
@@ -341,7 +351,7 @@ def panels(draw):
 _PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                               database=None)
 _EACH_STATISTIC = pytest.mark.parametrize(
-    "stat", [JStatistic(), HStatistic(), HStatistic(bandwidth=2)], ids=["J", "H-auto", "H-2"])
+    "stat", [JStatistic(), HStatistic()], ids=["J", "H-auto"])
 
 
 def _atol(stat, n):
