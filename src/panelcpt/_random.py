@@ -9,6 +9,9 @@ platform, worker count, and numpy's own distribution implementations.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 _TWO53 = float(2**53)
@@ -16,6 +19,8 @@ SEED_MAX = 2**64 - 1
 
 __all__ = [
     "check_int",
+    "check_real",
+    "check_choice",
     "derive_seed",
     "generator",
     "uniform_open",
@@ -34,6 +39,28 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     if value < lo or (hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """Every real parameter as a float in the open interval (lo, hi): a bool or
+    non-real raises TypeError, a NaN, infinity or value out of range ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if not (math.isfinite(value) and lo < value < hi):
+        bound = "finite" if (lo, hi) == (-math.inf, math.inf) else f"in ({lo:g}, {hi:g})"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def check_choice(name: str, value, choices):
+    """Every enumerated option as one of ``choices``, else ValueError."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
     return value
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "bootstrap_distribution",
     "p_value",
     "empirical_quantile",
-    "quantile_rank",
 ]
 
 KINDS = ("nonoverlapping", "circular", "stationary")
@@ -62,8 +61,7 @@ class BootstrapScheme:
     block_length: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"scheme kind must be one of {KINDS}, got {self.kind!r}")
+        _random.check_choice("scheme kind", self.kind, KINDS)
         try:
             length = _random.check_int("block length", self.block_length, 1)
         except ValueError:
@@ -165,8 +163,8 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
 
     ``statistic.basis(panel)`` (the panel, or for J with N > T its T x T factor) is
     row-demeaned once; replicate j resamples it with indices from ``rng.generator_for(j)``
-    into its slab of a C-ordered (R, rows, T') chunk. Chunks run in the calling thread at
-    ``workers=1``, otherwise in ``workers`` contiguous parts on a thread pool; each thread
+    into its slab of a C-ordered (R, rows, T') chunk. Chunks run in ``workers`` contiguous
+    parts, the first in the calling thread and the others on a thread pool; each thread
     refills one chunk buffer and hands it to the statistic's batch kernel (which
     re-demeans each resample). Each draw equals its resample's statistic alone, bit for
     bit, for any ``workers``, and for J the J of the same resample of the demeaned panel
@@ -199,6 +197,8 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
     size = _chunk_size(demeaned.shape[0], t_prime)
 
     starts = range(0, b, size)
+    per = -(-len(starts) // workers)
+    parts = [starts[i:i + per] for i in range(0, len(starts), per)]
 
     def run_chunks(part: range) -> None:
         # one chunk buffer per thread, refilled for each of its chunks
@@ -213,16 +213,14 @@ def bootstrap_distribution(panel: Panel, statistic, scheme: BootstrapScheme,
             except DegenerateSeriesError as exc:
                 raise DegenerateSeriesError(exc.series, exc.detail, lo + exc.replicate) from None
 
-    if workers == 1:
-        # In the calling thread: a fresh pool thread per call may get a fresh
-        # malloc arena, whose retained blocks made peak memory vary run to run.
-        run_chunks(starts)
-    else:
-        per = -(-len(starts) // workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # contiguous parts in order, so the first error raised is the first
-            # failing replicate's; materialize to surface worker exceptions
-            list(pool.map(run_chunks, [starts[i:i + per] for i in range(0, len(starts), per)]))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the first part in the calling thread (so one worker starts no thread),
+        # the rest on the pool; results in part order, so the first error
+        # raised is the first failing replicate's
+        futures = [pool.submit(run_chunks, part) for part in parts[1:]]
+        run_chunks(parts[0])
+        for future in futures:
+            future.result()
     return BootstrapDistribution(draws)
 
 

@@ -27,17 +27,10 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from ._random import check_int
+from ._random import check_choice, check_int
 from .cpt import STATISTICS, TestConfig, run_test
 from .dgp import LAWS, DgpConfig, simulate_panel
-from .errors import (
-    DegenerateSeriesError,
-    EmptyInputError,
-    InvalidBlockLengthError,
-    MonteCarloError,
-    NonNumericCellError,
-    NonRectangularError,
-)
+from .errors import DegenerateSeriesError, MonteCarloError
 from .mc import Scenario, grid_records, records_csv, records_json, run_grid
 from .panel import csv_text, load_csv
 
@@ -47,10 +40,6 @@ __all__ = ["main", "parse_scenarios", "load_scenario_file"]
 _SCHEME_ALIASES = {"nbb": "nonoverlapping", "cbb": "circular", "sb": "stationary"}
 _BREAK_ALIASES = {"none": "none", "cancel": "cancelling", "noncancel": "noncancelling"}
 _LAYOUT_ALIASES = {"cols": "columns", "rows": "rows"}
-_USAGE_ERRORS = (
-    EmptyInputError, NonRectangularError, NonNumericCellError,
-    InvalidBlockLengthError, ValueError, OSError,
-)
 
 
 def _write_out(text: str, out: str) -> None:
@@ -76,16 +65,10 @@ def _block_rule(token: str):
         raise ValueError(f"block must be 'adaptive' or an integer, got {token!r}")
 
 
-def _alias(table: dict, key: str, token: str) -> str:
-    if token not in table:
-        raise ValueError(f"{key} must be one of {tuple(table)}, got {token!r}")
-    return table[token]
-
-
 def _test_config(fields: dict) -> TestConfig:
     return TestConfig(
         statistic=fields["statistic"],
-        scheme=_alias(_SCHEME_ALIASES, "scheme", fields["scheme"]),
+        scheme=_SCHEME_ALIASES[check_choice("scheme", fields["scheme"], _SCHEME_ALIASES)],
         block_rule=_block_rule(fields["block"]),
         b=int(fields["b"]),
         alpha=float(fields["alpha"]),
@@ -100,7 +83,7 @@ def _dgp_config(fields: dict) -> DgpConfig:
         rho=float(fields["rho"]),
         beta=float(fields["beta"]),
         error_law=fields["law"],
-        break_spec=_alias(_BREAK_ALIASES, "break", fields["break"]),
+        break_spec=_BREAK_ALIASES[check_choice("break", fields["break"], _BREAK_ALIASES)],
         t0_fraction=float(fields["t0_frac"]),
         seed=fields.get("seed"),
     )
@@ -168,7 +151,7 @@ def _build_scenario(fields: dict, lineno: int) -> Scenario:
     try:
         return Scenario(label=fields["label"], dgp=_dgp_config(fields),
                         test=_test_config(fields), s=int(fields["s"]))
-    except (ValueError, InvalidBlockLengthError) as exc:
+    except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
@@ -190,7 +173,7 @@ def parse_scenarios(text: str) -> list[Scenario]:
         else:
             raise ValueError(f"line {lineno}: unknown record type {kind!r}")
     if not scenarios:
-        raise EmptyInputError("scenario file contains no scenario lines")
+        raise ValueError("scenario file contains no scenario lines")
     return scenarios
 
 
@@ -289,7 +272,7 @@ def main(argv=None) -> int:
     except (DegenerateSeriesError, MonteCarloError) as exc:
         print(f"panelcpt: degenerate data: {exc}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as exc:
+    except (ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"panelcpt: {exc}", file=sys.stderr)
         return 2
 

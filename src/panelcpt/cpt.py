@@ -71,7 +71,7 @@ class TestConfig:
     seed : int or None
         Master seed for the bootstrap streams, an integer in [0, 2**64).
         Must be set before running. A float or bool size or seed raises
-        TypeError, as does a str or bool alpha.
+        TypeError, as does a bool or non-real alpha.
     """
 
     statistic: str = "J"
@@ -84,10 +84,8 @@ class TestConfig:
     __test__ = False  # not a pytest class despite the name
 
     def __post_init__(self):
-        if self.statistic not in STATISTICS:
-            raise ValueError(f"statistic must be one of {tuple(STATISTICS)}, got {self.statistic!r}")
-        if self.scheme not in KINDS:
-            raise ValueError(f"scheme must be one of {KINDS}, got {self.scheme!r}")
+        _random.check_choice("statistic", self.statistic, STATISTICS)
+        _random.check_choice("scheme", self.scheme, KINDS)
         if isinstance(self.block_rule, str):
             if self.block_rule != "adaptive":
                 raise ValueError(f"block_rule must be 'adaptive' or an integer, got {self.block_rule!r}")
@@ -95,11 +93,7 @@ class TestConfig:
             object.__setattr__(self, "block_rule",
                                BootstrapScheme(self.scheme, self.block_rule).block_length)
         object.__setattr__(self, "b", _random.check_int("b", self.b, 1))
-        if isinstance(self.alpha, (str, bool)):
-            raise TypeError(f"alpha must be a real number, got {type(self.alpha).__name__}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _random.check_real("alpha", self.alpha, 0.0, 1.0))
         if self.seed is not None:
             object.__setattr__(self, "seed", _random.check_int("seed", self.seed, 0, _random.SEED_MAX))
 

@@ -28,7 +28,6 @@ __all__ = [
     "simulate_panel",
     "draw_deltas",
     "resolve_break_time",
-    "BURN_IN",
 ]
 
 BURN_IN = 100
@@ -46,17 +45,18 @@ class DgpConfig:
     n, t : int
         Panel dimensions (N >= 1 series, T >= 2 time points), integers.
     rho : float
-        AR(1) coefficient shared by all series, |rho| < 1.
+        AR(1) coefficient shared by all series, a real number in (-1, 1).
     beta : float
-        Common-factor loading shared by all series.
+        Common-factor loading shared by all series, a finite real number.
     error_law : {"normal", "t5"}
         Innovation law for both the idiosyncratic terms and the factor;
         "t5" is Student-t with 5 df scaled to unit variance.
     break_spec : {"none", "cancelling", "noncancelling"}
         Break-size law: none, U(-1/2, 1/2), or U(1/10, 1/2).
     t0_fraction : float
-        Break located at t0 = floor(t0_fraction * T); the break adds
-        delta_i to every observation with t > t0.
+        Break located at t0 = floor(t0_fraction * T), a finite real number;
+        the break adds delta_i to every observation with t > t0. A bool or
+        non-real rho, beta or t0_fraction raises TypeError.
     seed : int or None
         Master seed, an integer in [0, 2**64); must be set before simulating.
     """
@@ -73,15 +73,14 @@ class DgpConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", _random.check_int("n", self.n, 1))
         object.__setattr__(self, "t", _random.check_int("t", self.t, 2))
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "beta", float(self.beta))
-        if not abs(self.rho) < 1.0:
-            raise ValueError(f"|rho| must be < 1, got {self.rho}")
-        if self.error_law not in LAWS:
-            raise ValueError(f"error_law must be one of {LAWS}, got {self.error_law!r}")
-        if self.break_spec not in _BREAKS:
-            raise ValueError(f"break_spec must be one of {_BREAKS}, got {self.break_spec!r}")
+        object.__setattr__(self, "rho", _random.check_real("rho", self.rho, -1.0, 1.0))
+        object.__setattr__(self, "beta", _random.check_real("beta", self.beta))
+        object.__setattr__(self, "t0_fraction", _random.check_real("t0_fraction", self.t0_fraction))
+        _random.check_choice("error_law", self.error_law, LAWS)
+        _random.check_choice("break_spec", self.break_spec, _BREAKS)
         if self.break_spec != "none":
+            # outside (0, 1) no t0 fits, and floor(t0_fraction * T) may overflow
+            _random.check_real("t0_fraction of a break", self.t0_fraction, 0.0, 1.0)
             t0 = resolve_break_time(self.t0_fraction, self.t)
             if not 1 <= t0 <= self.t - 1:
                 raise ValueError(

@@ -1,17 +1,27 @@
-"""Exception hierarchy for panelcpt."""
+"""Exception hierarchy for panelcpt; every input error is also a ValueError."""
 
 from __future__ import annotations
+
+__all__ = [
+    "PanelCptError",
+    "EmptyInputError",
+    "NonRectangularError",
+    "NonNumericCellError",
+    "DegenerateSeriesError",
+    "InvalidBlockLengthError",
+    "MonteCarloError",
+]
 
 
 class PanelCptError(Exception):
     """Base class for all panelcpt errors."""
 
 
-class EmptyInputError(PanelCptError):
+class EmptyInputError(PanelCptError, ValueError):
     """Raised when an input file or array contains no data."""
 
 
-class NonRectangularError(PanelCptError):
+class NonRectangularError(PanelCptError, ValueError):
     """Raised when CSV rows have differing lengths."""
 
     def __init__(self, row: int, expected: int, got: int):
@@ -23,7 +33,7 @@ class NonRectangularError(PanelCptError):
         )
 
 
-class NonNumericCellError(PanelCptError):
+class NonNumericCellError(PanelCptError, ValueError):
     """Raised when a CSV cell cannot be parsed as a finite number."""
 
     def __init__(self, row: int, col: int, cell: str):
@@ -50,7 +60,7 @@ class DegenerateSeriesError(PanelCptError):
         super().__init__(f"{where}series {series}: {detail}")
 
 
-class InvalidBlockLengthError(PanelCptError):
+class InvalidBlockLengthError(PanelCptError, ValueError):
     """Raised when a bootstrap block length is outside [1, T]."""
 
     def __init__(self, block_length: int, n_time: int | None = None):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._random import check_int, derive_seed
+from ._random import SEED_MAX, check_int, derive_seed
 from .bootstrap import BootstrapScheme
 from .cpt import TestConfig, run_test
 from .dgp import DgpConfig, simulate_panel
@@ -34,7 +34,6 @@ __all__ = [
     "grid_records",
     "records_csv",
     "records_json",
-    "RECORD_FIELDS",
 ]
 
 
@@ -151,6 +150,7 @@ def run_grid(scenarios, seed_base: int, workers: int = 1,
     """
     if not scenarios:
         raise ValueError("scenario list must be non-empty")
+    seed_base = check_int("seed_base", seed_base, 0, SEED_MAX)
     workers = check_int("workers", workers, 1)
     tasks = [(scenario, seed_base, r) for scenario in scenarios for r in range(scenario.s)]
     reports = []

@@ -14,11 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._random import check_choice
 from .errors import EmptyInputError, NonNumericCellError, NonRectangularError
 
-__all__ = ["Panel", "load_csv", "write_csv", "csv_text", "demean"]
-
-_LAYOUTS = ("columns", "rows")
+__all__ = ["Panel", "load_csv", "write_csv"]
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,7 @@ def load_csv(path: str | Path, layout: str = "columns") -> Panel:
     ------
     EmptyInputError, NonRectangularError, NonNumericCellError
     """
-    if layout not in _LAYOUTS:
-        raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
+    check_choice("layout", layout, ("columns", "rows"))
     text = Path(path).read_text(encoding="utf-8-sig")
     lines = [line for line in text.splitlines() if line.strip() != ""]
     if lines and not _parses_as_float(lines[0].split(",")[0].strip()):

@@ -294,6 +294,7 @@ def test_one_worker_runs_chunks_in_the_calling_thread(workers):
     # a pool thread per call can land in a fresh malloc arena, so peak memory
     # of a serial run would vary from one run to the next
     threads = set()
+    caller = threading.get_ident()
 
     class Recorder:
         def basis(self, panel):
@@ -301,12 +302,13 @@ def test_one_worker_runs_chunks_in_the_calling_thread(workers):
 
         def batch(self, values):
             threads.add(threading.get_ident())
-            return np.zeros(values.shape[0])
+            return np.full(values.shape[0], float(threading.get_ident() == caller))
 
     panel = Panel(np.random.default_rng(43).standard_normal((3, 50)))
-    bootstrap_distribution(panel, Recorder(), BootstrapScheme("circular", 5), 200, RngSpec(9),
-                           workers=workers)
-    assert (threads == {threading.get_ident()}) == (workers == 1)
+    dist = bootstrap_distribution(panel, Recorder(), BootstrapScheme("circular", 5), 200,
+                                  RngSpec(9), workers=workers)
+    assert (threads == {caller}) == (workers == 1)
+    assert dist.draws[0] == 1.0  # the first chunk ran in the calling thread
 
 
 @pytest.mark.parametrize("stat", [JStatistic(), HStatistic()], ids=["J", "H"])

@@ -4,7 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from panelcpt import Panel, TestConfig, load_csv, run_test, write_csv
+from panelcpt import (
+    DegenerateSeriesError,
+    EmptyInputError,
+    InvalidBlockLengthError,
+    MonteCarloError,
+    NonNumericCellError,
+    NonRectangularError,
+    Panel,
+    TestConfig,
+    load_csv,
+    run_test,
+    write_csv,
+)
 from panelcpt.cli import load_scenario_file, main, parse_scenarios
 
 
@@ -30,6 +42,15 @@ def test_simulate_rejects_unit_rho(tmp_path, capsys):
                     "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction", ["inf", "1e308"])
+def test_simulate_overflowing_break_fraction_exits_2(capsys, fraction):
+    # used to end in an OverflowError traceback, exit 1
+    code = run_cli(["simulate", "--n", "3", "--t", "10", "--break", "cancel",
+                    "--t0-frac", fraction])
+    assert code == 2
+    assert "t0_fraction" in capsys.readouterr().err
 
 
 def test_simulate_noncancelling_break_shifts_mean(tmp_path):
@@ -300,6 +321,28 @@ def test_bench_block_longer_than_series_exits_2_before_running(tmp_path, capsys)
     assert run_cli(["bench", "--scenarios", str(scn), "--out", str(out)]) == 2
     assert "line 2: block length 50" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["t0_frac=inf", "beta=inf", "rho=nan"])
+def test_bench_non_finite_value_exits_2_before_running(tmp_path, capsys, token):
+    # t0_frac=inf used to crash with OverflowError; beta=inf passed the reader,
+    # then every replication warned and failed on a non-finite panel
+    scn = tmp_path / "grid.scn"
+    scn.write_text(f"scenario label=x n=3 t=10 break=cancel s=2 b=9 {token}\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(["bench", "--scenarios", str(scn), "--out", str(out)]) == 2
+    assert "line 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, is_input", [
+    (EmptyInputError, True), (NonRectangularError, True), (NonNumericCellError, True),
+    (InvalidBlockLengthError, True), (DegenerateSeriesError, False), (MonteCarloError, False),
+])
+def test_input_errors_are_value_errors(error, is_input):
+    # main maps ValueError to exit 2 and the other two to exit 3, with no list
+    # of the library's input errors
+    assert issubclass(error, ValueError) == is_input
 
 
 def test_bench_missing_file_exits_2(tmp_path):

@@ -186,6 +186,30 @@ def test_config_validation():
         DgpConfig(n=1, t=10, seed=-1)
 
 
+@pytest.mark.parametrize("field", ["rho", "beta", "t0_fraction"])
+@pytest.mark.parametrize("value", ["0.3", False, (0.1, 0.2)], ids=["str", "bool", "tuple"])
+def test_real_parameters_reject_non_reals(field, value):
+    with pytest.raises(TypeError, match=field):
+        DgpConfig(n=2, t=10, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["rho", "beta", "t0_fraction"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -(10**400)],
+                         ids=["nan", "inf", "-inf", "-10**400"])
+@pytest.mark.parametrize("break_spec", ["none", "cancelling"])
+def test_real_parameters_reject_non_finite_values(field, value, break_spec):
+    # t0_fraction=inf with a break used to raise OverflowError, and beta=inf or
+    # nan was accepted, every simulated panel then failing as non-finite
+    with pytest.raises(ValueError, match=field):
+        DgpConfig(n=2, t=10, break_spec=break_spec, **{field: value})
+
+
+def test_real_parameters_are_stored_as_floats():
+    cfg = DgpConfig(n=2, t=10, rho=np.float32(0.5), beta=1, t0_fraction=np.float64(0.3))
+    assert (cfg.rho, cfg.beta, cfg.t0_fraction) == (0.5, 1.0, 0.3)
+    assert {type(v) for v in (cfg.rho, cfg.beta, cfg.t0_fraction)} == {float}
+
+
 def test_resolve_break_time_floors():
     assert resolve_break_time(0.5, 101) == 50
     assert resolve_break_time(0.3, 50) == 15

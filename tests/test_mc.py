@@ -160,6 +160,17 @@ def test_workers_below_one_is_an_error():
         rejection_frequency(tiny_scenario(s=3), seed_base=5, workers=-3)
 
 
+@pytest.mark.parametrize("seed_base, error", [(-1, ValueError), (2**64, ValueError),
+                                              (1.5, TypeError), (True, TypeError)])
+def test_seed_base_is_checked_before_the_pool_starts(monkeypatch, seed_base, error):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(mc.multiprocessing, "Pool", no_pool)
+    with pytest.raises(error, match="seed_base"):
+        run_grid([tiny_scenario(s=3)], seed_base, workers=2)
+
+
 def test_run_grid_order_and_duplicates():
     sc1 = tiny_scenario(label="one", s=8)
     sc2 = tiny_scenario(label="two", s=8, rho=0.3)
